@@ -14,7 +14,41 @@
 
 use std::fs;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Process-wide sequence behind [`staging_path`] and [`unique_temp_path`].
+static NEXT_UNIQUE: AtomicU64 = AtomicU64::new(0);
+
+/// `{pid}.{n}`: unique across live processes (pid) and across calls within
+/// one process (the counter).
+fn unique_suffix() -> String {
+    let n = NEXT_UNIQUE.fetch_add(1, Ordering::Relaxed);
+    format!("{}.{n}", std::process::id())
+}
+
+/// The temp sibling an atomic publication of `path` stages into:
+/// `.{name}.tmp.{pid}.{n}` in the same directory. No two writers share it —
+/// not even two threads of one process writing the same target — so one
+/// writer's rename can never steal another's half-written file.
+pub fn staging_path(path: &Path) -> PathBuf {
+    let name = path
+        .file_name()
+        .and_then(|name| name.to_str())
+        .unwrap_or("artifact");
+    let tmp_name = format!(".{name}.tmp.{}", unique_suffix());
+    match path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        Some(dir) => dir.join(tmp_name),
+        None => PathBuf::from(tmp_name),
+    }
+}
+
+/// A fresh path `{temp_dir}/{pid}.{n}.{name}` that no other call — in this
+/// process or another — returns, for tests and benchmarks that run in
+/// parallel and must not share scratch files. Nothing is created.
+pub fn unique_temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("{}.{name}", unique_suffix()))
+}
 
 /// Atomically publishes `bytes` at `path`: write to a temp file in the same
 /// directory, fsync, rename over the target, then fsync the directory. A
@@ -26,15 +60,7 @@ use std::path::Path;
 /// Returns the underlying I/O error.
 pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path
-        .file_name()
-        .and_then(|name| name.to_str())
-        .unwrap_or("artifact");
-    let tmp_name = format!(".{file_name}.tmp.{}", std::process::id());
-    let tmp = match dir {
-        Some(dir) => dir.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
+    let tmp = staging_path(path);
     let result = (|| {
         // lint: allow(R04, this is the staging write inside the atomic path)
         let mut file = fs::File::create(&tmp)?;
@@ -85,7 +111,7 @@ mod tests {
 
     #[test]
     fn atomic_write_publishes_and_cleans_up() {
-        let dir = std::env::temp_dir().join(format!("lb-artifact-test-{}", std::process::id()));
+        let dir = unique_temp_path("lb-artifact-test");
         fs::create_dir_all(&dir).unwrap();
         let target = dir.join("out.json");
         write_bytes_atomic(&target, b"{\"v\":1}\n").unwrap();
@@ -112,5 +138,41 @@ mod tests {
         if usize::BITS < 64 {
             assert_eq!(usize_exact(u64::MAX), None);
         }
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_target_all_publish_whole_payloads() {
+        // Writers in one process used to share a pid-only staging name: one
+        // writer's rename stole another's file, which then failed (ENOENT)
+        // or published a torn mixture.
+        let dir = unique_temp_path("lb-artifact-race");
+        fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("shared.json");
+        let payloads: Vec<Vec<u8>> = (0..8u8)
+            .map(|t| vec![b'a' + t; 64 * 1024 + usize::from(t)])
+            .collect();
+        std::thread::scope(|scope| {
+            for payload in &payloads {
+                let target = &target;
+                scope.spawn(move || {
+                    for _ in 0..25 {
+                        write_bytes_atomic(target, payload).expect("every write publishes");
+                    }
+                });
+            }
+        });
+        let published = fs::read(&target).unwrap();
+        assert!(
+            payloads.contains(&published),
+            "final file is not one complete payload ({} bytes)",
+            published.len()
+        );
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -512,8 +512,7 @@ fn run_snapshot_bench(
     let warm = if quick { 2 } else { 4 };
     alg1.run(warm);
     let trials = if quick { 2 } else { 3 };
-    let path =
-        std::env::temp_dir().join(format!("lb_hotpath_snapshot_{}.jsonl", std::process::id()));
+    let path = lb_analysis::artifact::unique_temp_path("lb_hotpath_snapshot.jsonl");
     let header = Json::obj([("name", Json::from("hotpath_snapshot"))]);
 
     let mut write_secs = f64::INFINITY;

@@ -3,7 +3,7 @@
 use super::{ContinuousProcess, EdgeFlow};
 use crate::error::CoreError;
 use crate::task::Speeds;
-use lb_graph::{AlphaScheme, DiffusionMatrix, Graph, GraphDelta};
+use lb_graph::{AlphaScheme, DiffusionMatrix, Graph, GraphDelta, NodeId};
 use std::sync::Arc;
 
 /// Lane width of the struct-of-arrays flow kernels. Wide enough to fill
@@ -118,11 +118,6 @@ impl ContinuousProcess for Fos {
         true
     }
 
-    /// Stride-friendly kernel: gathers endpoint loads/speeds into fixed-width
-    /// struct-of-arrays lanes, runs a branch-free arithmetic loop over
-    /// contiguous `f64` arrays (auto-vectorisable), and scatters into `out`.
-    /// The per-edge float-op order is exactly the scalar loop's
-    /// `α · x_u / s_u`, so flows are bit-identical to the previous kernel.
     // lint: zero-alloc
     fn compute_flows_range(
         &self,
@@ -131,38 +126,59 @@ impl ContinuousProcess for Fos {
         edges: std::ops::Range<usize>,
         out: &mut [EdgeFlow],
     ) {
-        const LANES: usize = KERNEL_LANES;
-        let pairs = &self.graph.edges()[edges.clone()];
-        let alphas = &self.matrix.alphas()[edges];
-        let mut xu = [0.0f64; LANES];
-        let mut su = [0.0f64; LANES];
-        let mut xv = [0.0f64; LANES];
-        let mut sv = [0.0f64; LANES];
-        let mut fu = [0.0f64; LANES];
-        let mut fv = [0.0f64; LANES];
-        let mut k = 0usize;
-        for (pair_chunk, alpha_chunk) in pairs.chunks_exact(LANES).zip(alphas.chunks_exact(LANES))
-        {
-            for (i, &(u, v)) in pair_chunk.iter().enumerate() {
-                xu[i] = x[u];
-                su[i] = self.speeds[u];
-                xv[i] = x[v];
-                sv[i] = self.speeds[v];
-            }
-            for i in 0..LANES {
-                fu[i] = alpha_chunk[i] * xu[i] / su[i];
-                fv[i] = alpha_chunk[i] * xv[i] / sv[i];
-            }
-            for (slot, i) in out[k..k + LANES].iter_mut().zip(0..LANES) {
-                *slot = EdgeFlow::new(fu[i], fv[i]);
-            }
-            k += LANES;
+        fos_lanes(
+            &self.graph.edges()[edges.clone()],
+            &self.matrix.alphas()[edges],
+            x,
+            &self.speeds,
+            out,
+        );
+    }
+}
+
+/// The FOS flows `α·x_u/s_u` and `α·x_v/s_v` of every edge in `pairs` (with
+/// its `alphas`) into `out`: FOS's kernel and SOS's first round. Endpoint
+/// loads and speeds are gathered into fixed-width struct-of-arrays lanes, a
+/// branch-free arithmetic loop runs over contiguous `f64` arrays
+/// (auto-vectorisable), and the results scatter into `out`. The per-edge
+/// float-op order is exactly the scalar loop's, so flows are bit-identical
+/// to it.
+// lint: zero-alloc
+#[inline]
+pub(crate) fn fos_lanes(
+    pairs: &[(NodeId, NodeId)],
+    alphas: &[f64],
+    x: &[f64],
+    speeds: &[f64],
+    out: &mut [EdgeFlow],
+) {
+    const LANES: usize = KERNEL_LANES;
+    let mut xu = [0.0f64; LANES];
+    let mut su = [0.0f64; LANES];
+    let mut xv = [0.0f64; LANES];
+    let mut sv = [0.0f64; LANES];
+    let mut fu = [0.0f64; LANES];
+    let mut fv = [0.0f64; LANES];
+    let mut k = 0usize;
+    for (pair_chunk, alpha_chunk) in pairs.chunks_exact(LANES).zip(alphas.chunks_exact(LANES)) {
+        for (i, &(u, v)) in pair_chunk.iter().enumerate() {
+            xu[i] = x[u];
+            su[i] = speeds[u];
+            xv[i] = x[v];
+            sv[i] = speeds[v];
         }
-        for (i, &(u, v)) in pairs[k..].iter().enumerate() {
-            let alpha = alphas[k + i];
-            out[k + i] =
-                EdgeFlow::new(alpha * x[u] / self.speeds[u], alpha * x[v] / self.speeds[v]);
+        for i in 0..LANES {
+            fu[i] = alpha_chunk[i] * xu[i] / su[i];
+            fv[i] = alpha_chunk[i] * xv[i] / sv[i];
         }
+        for (slot, i) in out[k..k + LANES].iter_mut().zip(0..LANES) {
+            *slot = EdgeFlow::new(fu[i], fv[i]);
+        }
+        k += LANES;
+    }
+    for (i, &(u, v)) in pairs[k..].iter().enumerate() {
+        let alpha = alphas[k + i];
+        out[k + i] = EdgeFlow::new(alpha * x[u] / speeds[u], alpha * x[v] / speeds[v]);
     }
 }
 

@@ -302,22 +302,10 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
     /// for processes with an allocation-free kernel.
     // lint: zero-alloc
     pub fn step(&mut self) -> &[EdgeFlow] {
-        self.process
-            .compute_flows_into(self.round, &self.loads, &mut self.flow_buf);
-        let graph = self.process.graph();
-        debug_assert_eq!(self.flow_buf.len(), graph.edge_count());
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            let net = self.flow_buf[e].net();
-            self.loads[u] -= net;
-            self.loads[v] += net;
-            self.cumulative_flow[e] += net;
-        }
-        let mut round_min = f64::INFINITY;
-        for &x in &self.loads {
-            round_min = round_min.min(x);
-        }
-        self.round += 1;
-        self.min_load_seen = self.min_load_seen.min(round_min);
+        let Ok(()) = self.advance::<std::convert::Infallible>(None, |process, t, x, out| {
+            process.compute_flows_into(t, x, out);
+            Ok(())
+        });
         &self.flow_buf
     }
 
@@ -347,67 +335,13 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
         if !self.process.supports_sharding() || exec.shard_count() == 1 {
             return self.step();
         }
-        let t = self.round;
-        // Phase A (parallel): kernel over disjoint canonical edge ranges.
-        {
-            let process = &self.process;
-            let loads = &self.loads[..];
-            let flow = crate::shard::SharedSliceMut::new(&mut self.flow_buf);
-            let (pool, plan, _) = exec.split();
-            pool.run(|s| {
-                let range = plan.edge_range(s);
-                if range.is_empty() {
-                    return;
-                }
-                // SAFETY: edge ranges are disjoint across shards.
-                let out = unsafe { flow.range_mut(range.clone()) };
-                process.compute_flows_range(t, loads, range, out);
+        let (pool, chunks) = exec.split();
+        let Ok(()) =
+            self.advance::<std::convert::Infallible>(Some((pool, chunks)), |process, t, x, out| {
+                kernel_chunks(process, t, x, out, pool, chunks);
+                process.commit_flows(t, out);
+                Ok(())
             });
-        }
-        self.process.commit_flows(t, &self.flow_buf);
-        // Phase B (parallel): apply flows to own loads (CSR incident order ==
-        // canonical edge order, so the f64 op sequence per load entry matches
-        // the sequential step exactly) and accumulate own edge ledgers.
-        {
-            let graph = self.process.graph();
-            let flows = &self.flow_buf[..];
-            let loads = crate::shard::SharedSliceMut::new(&mut self.loads);
-            let cumulative = crate::shard::SharedSliceMut::new(&mut self.cumulative_flow);
-            let (pool, plan, scratch) = exec.split();
-            pool.run(|s| {
-                // SAFETY: scratch cell, node range and edge range all belong
-                // to shard `s` alone.
-                let scratch = unsafe { &mut *scratch[s].get() };
-                let nodes = plan.node_range(s);
-                let loads_s = unsafe { loads.range_mut(nodes.clone()) };
-                for (k, i) in nodes.clone().enumerate() {
-                    for (neighbor, e) in graph.neighbors_with_edges(i) {
-                        let net = flows[e].net();
-                        if i < neighbor {
-                            loads_s[k] -= net;
-                        } else {
-                            loads_s[k] += net;
-                        }
-                    }
-                }
-                let edges = plan.edge_range(s);
-                let cumulative_s = unsafe { cumulative.range_mut(edges.clone()) };
-                for (k, e) in edges.enumerate() {
-                    cumulative_s[k] += flows[e].net();
-                }
-                let mut min = f64::INFINITY;
-                for &x in loads_s.iter() {
-                    min = min.min(x);
-                }
-                scratch.min_load = min;
-            });
-        }
-        self.round += 1;
-        let mut round_min = f64::INFINITY;
-        for scratch in exec.shard_results() {
-            round_min = round_min.min(scratch.min_load);
-        }
-        self.min_load_seen = self.min_load_seen.min(round_min);
         &self.flow_buf
     }
 
@@ -419,16 +353,17 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
     /// sequential step, in the same order; foreign entries are stale and
     /// never read.
     ///
-    /// The kernel (Phase A) fans out over the executor's intra-part shards;
-    /// any chunking of the owned edge range is bit-identical because per-edge
-    /// flow computation is independent.
+    /// Both phases fan out over the executor's intra-part shards; any
+    /// chunking of the owned range is bit-identical because per-edge flow
+    /// computation is independent and every load entry is applied in its
+    /// own CSR order.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] when the process does not
-    /// implement the sharded kernel protocol (federation needs
-    /// [`compute_flows_range`](ContinuousProcess::compute_flows_range) as its
-    /// isolation seam), and propagates link failures as
+    /// Returns [`CoreError::InvalidParameter`](crate::CoreError) when the
+    /// process does not implement the sharded kernel protocol (federation
+    /// needs [`compute_flows_range`](ContinuousProcess::compute_flows_range)
+    /// as its isolation seam), and propagates link failures as
     /// [`CoreError::Federation`](crate::CoreError).
     pub fn step_federated(
         &mut self,
@@ -446,82 +381,105 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
             )));
         }
         fed.ensure_plan(&self.process.shared_graph())?;
-        let t = self.round;
-
-        // Boundary-loads exchange: publish own boundary entries, refresh the
-        // remote ones the kernel will read on crossing edges.
-        fed.loads_out.clear();
-        for &node in fed.plan.boundary() {
-            fed.loads_out.push((node, self.loads[node].to_bits()));
-        }
-        let incoming = link.exchange_loads(&fed.loads_out)?;
-        crate::federate::apply_load_entries(&mut self.loads, &incoming)?;
-
-        // Phase A: kernel over the owned canonical edge range, chunked
-        // across the intra-part shards.
-        if fed.shard_count() == 1 {
-            let range = fed.plan.edge_range();
-            self.process.compute_flows_range(
-                t,
-                &self.loads,
-                range.clone(),
-                &mut self.flow_buf[range],
+        let crate::federate::FederatedExecutor {
+            plan,
+            pool,
+            chunks,
+            loads_out,
+            flows_out,
+            ..
+        } = fed;
+        self.advance(Some((&*pool, &*chunks)), |process, t, x, out| {
+            // Boundary-loads exchange: publish own boundary entries, refresh
+            // the remote ones the kernel reads on crossing edges.
+            loads_out.clear();
+            loads_out.extend(plan.boundary().iter().map(|&i| (i, x[i].to_bits())));
+            let incoming = link.exchange_loads(loads_out)?;
+            crate::federate::apply_load_entries(x, &incoming)?;
+            kernel_chunks(process, t, x, out, pool, chunks);
+            // Crossing-flows exchange: publish own crossing edges, receive
+            // the flows remote owners computed for edges incident to this
+            // part.
+            flows_out.clear();
+            flows_out.extend(
+                plan.crossing()
+                    .iter()
+                    .map(|&e| (e, out[e].forward.to_bits(), out[e].backward.to_bits())),
             );
-        } else {
-            let process = &self.process;
-            let loads = &self.loads[..];
-            let flow = crate::shard::SharedSliceMut::new(&mut self.flow_buf);
-            let fed_ref = &*fed;
-            fed_ref.pool.run(|c| {
-                let range = fed_ref.kernel_chunk(c);
-                if range.is_empty() {
-                    return;
-                }
-                // SAFETY: kernel chunks are disjoint across shards.
-                let out = unsafe { flow.range_mut(range.clone()) };
-                process.compute_flows_range(t, loads, range, out);
-            });
-        }
+            for (e, forward, backward) in link.exchange_flows(flows_out)? {
+                let slot = out.get_mut(e).ok_or_else(|| {
+                    CoreError::federation(format!("exchanged flow names unknown edge {e}"))
+                })?;
+                *slot = EdgeFlow::new(f64::from_bits(forward), f64::from_bits(backward));
+            }
+            process.commit_flows(t, out);
+            Ok(())
+        })
+    }
 
-        // Crossing-flows exchange: publish own crossing edges, receive the
-        // flows remote owners computed for edges incident to this part.
-        fed.flows_out.clear();
-        for &e in fed.plan.crossing() {
-            let f = self.flow_buf[e];
-            fed.flows_out
-                .push((e, f.forward.to_bits(), f.backward.to_bits()));
-        }
-        let incoming = link.exchange_flows(&fed.flows_out)?;
-        for (e, forward, backward) in incoming {
-            let slot = self.flow_buf.get_mut(e).ok_or_else(|| {
-                CoreError::federation(format!("exchanged flow names unknown edge {e}"))
-            })?;
-            *slot = EdgeFlow::new(f64::from_bits(forward), f64::from_bits(backward));
-        }
-        self.process.commit_flows(t, &self.flow_buf);
-
-        // Phase B: apply flows to owned loads (CSR incident order == canonical
-        // edge order) and accumulate incident edge ledgers. Both endpoints of
-        // a crossing edge accumulate identical ledger bits.
+    /// The one round body behind [`step`](ContinuousRunner::step),
+    /// [`step_sharded`](ContinuousRunner::step_sharded) and
+    /// [`step_federated`](ContinuousRunner::step_federated). `kernel` fills
+    /// the flow buffer for round `t` from the loads (committing any process
+    /// history); the flows then apply to the node range this runner owns —
+    /// all of `0..n`, or one federated part's range when `split` says so —
+    /// and accumulate into the ledgers of every edge incident to it.
+    fn advance<E>(
+        &mut self,
+        split: Option<(&crate::shard::ShardPool, &crate::shard::Chunks)>,
+        kernel: impl FnOnce(&mut A, usize, &mut [f64], &mut [EdgeFlow]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let t = self.round;
+        kernel(&mut self.process, t, &mut self.loads, &mut self.flow_buf)?;
         let graph = self.process.graph();
-        for i in fed.plan.node_range() {
-            for (neighbor, e) in graph.neighbors_with_edges(i) {
-                let net = self.flow_buf[e].net();
-                if i < neighbor {
-                    self.loads[i] -= net;
-                } else {
-                    self.loads[i] += net;
+        let n = graph.node_count();
+        let owned = split.map_or(0..n, |(_, chunks)| chunks.nodes());
+        match split {
+            // One chunk owning every node keeps the canonical edge loop:
+            // applying the whole graph in CSR order (2m visits) measured
+            // about 12% slower per round.
+            Some((pool, chunks)) if chunks.count() > 1 || owned != (0..n) => {
+                let flows = &self.flow_buf[..];
+                let loads = crate::shard::SharedSliceMut::new(&mut self.loads);
+                let ledger = crate::shard::SharedSliceMut::new(&mut self.cumulative_flow);
+                let owned = &owned;
+                pool.run(|c| {
+                    let nodes = chunks.node_range(c);
+                    // SAFETY: chunk node ranges are disjoint.
+                    let loads_c = unsafe { loads.range_mut(nodes.clone()) };
+                    for (x, i) in loads_c.iter_mut().zip(nodes) {
+                        for (j, e) in graph.neighbors_with_edges(i) {
+                            let net = flows[e].net();
+                            if i < j {
+                                *x -= net;
+                            } else {
+                                *x += net;
+                            }
+                            if i < j || !owned.contains(&j) {
+                                // SAFETY: exactly one chunk writes each
+                                // ledger slot: the one holding the edge's
+                                // lower endpoint, or, when that endpoint is
+                                // foreign, the one holding the higher.
+                                unsafe { *ledger.get_mut(e) += net };
+                            }
+                        }
+                    }
+                });
+            }
+            _ => {
+                for (e, &(u, v)) in graph.edges().iter().enumerate() {
+                    let net = self.flow_buf[e].net();
+                    self.loads[u] -= net;
+                    self.loads[v] += net;
+                    self.cumulative_flow[e] += net;
                 }
             }
         }
-        for &e in fed.plan.incident() {
-            self.cumulative_flow[e] += self.flow_buf[e].net();
-        }
-        self.round += 1;
         let mut round_min = f64::INFINITY;
-        for &x in &self.loads[fed.plan.node_range()] {
+        for &x in &self.loads[owned] {
             round_min = round_min.min(x);
         }
+        self.round += 1;
         self.min_load_seen = self.min_load_seen.min(round_min);
         Ok(())
     }
@@ -635,6 +593,26 @@ impl<A: ContinuousProcess> ContinuousRunner<A> {
             .zip(speeds)
             .all(|(&x, &s)| (x - total_load * s / total_speed).abs() <= tolerance)
     }
+}
+
+/// Runs the range kernel of round `t` over every chunk's canonical edge
+/// range, in parallel on `pool`. Any chunking is bit-identical: per-edge
+/// flow computation is independent.
+fn kernel_chunks<A: ContinuousProcess + Sync>(
+    process: &A,
+    t: usize,
+    x: &[f64],
+    out: &mut [EdgeFlow],
+    pool: &crate::shard::ShardPool,
+    chunks: &crate::shard::Chunks,
+) {
+    let out = crate::shard::SharedSliceMut::new(out);
+    pool.run(|c| {
+        let range = chunks.edge_range(c);
+        // SAFETY: chunk edge ranges are disjoint.
+        let out = unsafe { out.range_mut(range.clone()) };
+        process.compute_flows_range(t, x, range, out);
+    });
 }
 
 #[cfg(test)]

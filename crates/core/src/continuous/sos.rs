@@ -1,7 +1,7 @@
 //! Second-order diffusion (SOS), Muthukrishnan–Ghosh–Schultz style, with
 //! speeds.
 
-use super::fos::KERNEL_LANES;
+use super::fos::{fos_lanes, KERNEL_LANES};
 use super::{ContinuousProcess, EdgeFlow};
 use crate::error::CoreError;
 use crate::task::Speeds;
@@ -59,16 +59,7 @@ impl Sos {
         let graph = graph.into();
         let speeds_f64 = speeds.to_f64();
         let matrix = DiffusionMatrix::new(&graph, &speeds_f64, scheme)?;
-        let m = graph.edge_count();
-        Ok(Sos {
-            graph,
-            matrix,
-            speeds: speeds_f64,
-            beta,
-            previous: vec![EdgeFlow::default(); m],
-            has_previous: false,
-            name: format!("sos(beta={beta:.3})"),
-        })
+        Ok(Sos::from_parts(graph, matrix, speeds_f64, beta))
     }
 
     /// Creates an SOS process with the optimal relaxation parameter
@@ -85,22 +76,22 @@ impl Sos {
         let graph = graph.into();
         let speeds_f64 = speeds.to_f64();
         let matrix = DiffusionMatrix::new(&graph, &speeds_f64, scheme)?;
-        let lambda = lb_graph::spectral::second_eigenvalue(
-            &graph,
-            &matrix,
-            PowerIterationOptions::default(),
-        );
-        let beta = 2.0 / (1.0 + (1.0 - lambda * lambda).max(0.0).sqrt());
+        let beta = optimal_beta(&graph, &matrix);
+        Ok(Sos::from_parts(graph, matrix, speeds_f64, beta))
+    }
+
+    /// A process with no relaxation history yet.
+    fn from_parts(graph: Arc<Graph>, matrix: DiffusionMatrix, speeds: Vec<f64>, beta: f64) -> Self {
         let m = graph.edge_count();
-        Ok(Sos {
+        Sos {
             graph,
             matrix,
-            speeds: speeds_f64,
+            speeds,
             beta,
             previous: vec![EdgeFlow::default(); m],
             has_previous: false,
             name: format!("sos(beta={beta:.3})"),
-        })
+        }
     }
 
     /// The relaxation parameter `β`.
@@ -129,24 +120,23 @@ impl Sos {
         let beta = if delta.is_empty() {
             self.beta
         } else {
-            let lambda = lb_graph::spectral::second_eigenvalue(
-                &new_graph,
-                &matrix,
-                PowerIterationOptions::default(),
-            );
-            2.0 / (1.0 + (1.0 - lambda * lambda).max(0.0).sqrt())
+            optimal_beta(&new_graph, &matrix)
         };
-        let m = new_graph.edge_count();
-        Ok(Sos {
-            graph: new_graph,
+        Ok(Sos::from_parts(
+            new_graph,
             matrix,
-            speeds: self.speeds.clone(),
+            self.speeds.clone(),
             beta,
-            previous: vec![EdgeFlow::default(); m],
-            has_previous: false,
-            name: format!("sos(beta={beta:.3})"),
-        })
+        ))
     }
+}
+
+/// `β = 2/(1 + √(1 − λ²))`, with `λ` estimated by (seed-free, deterministic)
+/// power iteration.
+fn optimal_beta(graph: &Graph, matrix: &DiffusionMatrix) -> f64 {
+    let lambda =
+        lb_graph::spectral::second_eigenvalue(graph, matrix, PowerIterationOptions::default());
+    2.0 / (1.0 + (1.0 - lambda * lambda).max(0.0).sqrt())
 }
 
 impl ContinuousProcess for Sos {
@@ -178,9 +168,9 @@ impl ContinuousProcess for Sos {
 
     /// Stride-friendly kernel, same struct-of-arrays shape as the FOS one.
     /// The `has_previous` branch is hoisted out of the per-edge loop: the
-    /// first round runs the FOS-shaped variant, every later round runs the
-    /// relaxation variant with the history gathered alongside the loads.
-    /// Per-edge float-op order matches the scalar loop
+    /// first round is FOS's lane loop (`fos_lanes`), every later round
+    /// runs the relaxation variant with the history gathered alongside the
+    /// loads. Per-edge float-op order matches the scalar loop
     /// (`(β−1)·y_prev + β·(α·x_u/s_u)`), so flows are bit-identical.
     // lint: zero-alloc
     fn compute_flows_range(
@@ -193,73 +183,51 @@ impl ContinuousProcess for Sos {
         const LANES: usize = KERNEL_LANES;
         let pairs = &self.graph.edges()[edges.clone()];
         let alphas = &self.matrix.alphas()[edges.clone()];
+        if !self.has_previous {
+            fos_lanes(pairs, alphas, x, &self.speeds, out);
+            return;
+        }
         let beta = self.beta;
         let carry = self.beta - 1.0;
+        let prev = &self.previous[edges];
         let mut xu = [0.0f64; LANES];
         let mut su = [0.0f64; LANES];
         let mut xv = [0.0f64; LANES];
         let mut sv = [0.0f64; LANES];
+        let mut pf = [0.0f64; LANES];
+        let mut pb = [0.0f64; LANES];
         let mut fu = [0.0f64; LANES];
         let mut fv = [0.0f64; LANES];
         let mut k = 0usize;
-        if self.has_previous {
-            let prev = &self.previous[edges];
-            let mut pf = [0.0f64; LANES];
-            let mut pb = [0.0f64; LANES];
-            for (pair_chunk, (alpha_chunk, prev_chunk)) in pairs
-                .chunks_exact(LANES)
-                .zip(alphas.chunks_exact(LANES).zip(prev.chunks_exact(LANES)))
-            {
-                for (i, &(u, v)) in pair_chunk.iter().enumerate() {
-                    xu[i] = x[u];
-                    su[i] = self.speeds[u];
-                    xv[i] = x[v];
-                    sv[i] = self.speeds[v];
-                    pf[i] = prev_chunk[i].forward;
-                    pb[i] = prev_chunk[i].backward;
-                }
-                for i in 0..LANES {
-                    fu[i] = carry * pf[i] + beta * (alpha_chunk[i] * xu[i] / su[i]);
-                    fv[i] = carry * pb[i] + beta * (alpha_chunk[i] * xv[i] / sv[i]);
-                }
-                for (slot, i) in out[k..k + LANES].iter_mut().zip(0..LANES) {
-                    *slot = EdgeFlow::new(fu[i], fv[i]);
-                }
-                k += LANES;
+        for (pair_chunk, (alpha_chunk, prev_chunk)) in pairs
+            .chunks_exact(LANES)
+            .zip(alphas.chunks_exact(LANES).zip(prev.chunks_exact(LANES)))
+        {
+            for (i, &(u, v)) in pair_chunk.iter().enumerate() {
+                xu[i] = x[u];
+                su[i] = self.speeds[u];
+                xv[i] = x[v];
+                sv[i] = self.speeds[v];
+                pf[i] = prev_chunk[i].forward;
+                pb[i] = prev_chunk[i].backward;
             }
-            for (i, &(u, v)) in pairs[k..].iter().enumerate() {
-                let alpha = alphas[k + i];
-                let fos_forward = alpha * x[u] / self.speeds[u];
-                let fos_backward = alpha * x[v] / self.speeds[v];
-                out[k + i] = EdgeFlow::new(
-                    carry * prev[k + i].forward + beta * fos_forward,
-                    carry * prev[k + i].backward + beta * fos_backward,
-                );
+            for i in 0..LANES {
+                fu[i] = carry * pf[i] + beta * (alpha_chunk[i] * xu[i] / su[i]);
+                fv[i] = carry * pb[i] + beta * (alpha_chunk[i] * xv[i] / sv[i]);
             }
-        } else {
-            for (pair_chunk, alpha_chunk) in
-                pairs.chunks_exact(LANES).zip(alphas.chunks_exact(LANES))
-            {
-                for (i, &(u, v)) in pair_chunk.iter().enumerate() {
-                    xu[i] = x[u];
-                    su[i] = self.speeds[u];
-                    xv[i] = x[v];
-                    sv[i] = self.speeds[v];
-                }
-                for i in 0..LANES {
-                    fu[i] = alpha_chunk[i] * xu[i] / su[i];
-                    fv[i] = alpha_chunk[i] * xv[i] / sv[i];
-                }
-                for (slot, i) in out[k..k + LANES].iter_mut().zip(0..LANES) {
-                    *slot = EdgeFlow::new(fu[i], fv[i]);
-                }
-                k += LANES;
+            for (slot, i) in out[k..k + LANES].iter_mut().zip(0..LANES) {
+                *slot = EdgeFlow::new(fu[i], fv[i]);
             }
-            for (i, &(u, v)) in pairs[k..].iter().enumerate() {
-                let alpha = alphas[k + i];
-                out[k + i] =
-                    EdgeFlow::new(alpha * x[u] / self.speeds[u], alpha * x[v] / self.speeds[v]);
-            }
+            k += LANES;
+        }
+        for (i, &(u, v)) in pairs[k..].iter().enumerate() {
+            let alpha = alphas[k + i];
+            let fos_forward = alpha * x[u] / self.speeds[u];
+            let fos_backward = alpha * x[v] / self.speeds[v];
+            out[k + i] = EdgeFlow::new(
+                carry * prev[k + i].forward + beta * fos_forward,
+                carry * prev[k + i].backward + beta * fos_backward,
+            );
         }
     }
 

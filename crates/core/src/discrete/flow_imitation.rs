@@ -14,20 +14,18 @@
 //!
 //! # Hot path
 //!
-//! [`FlowImitation::step`] is allocation-free in steady state: per-node
-//! storage is a [`TaskQueue`] (O(1) FIFO pops, O(log k) heap pops instead of
-//! the O(k) scan + O(k) `Vec::remove` of the seed implementation), delivery
-//! buffers are owned by the struct and reused, and the topology is shared
-//! with the twin through one `Arc<Graph>`.
+//! The per-edge rule is one kernel ([`Rule::forward`] for [`Alg1`]) that the
+//! sequential, sharded and federated rounds of the shared engine all call
+//! (see [`super::imitation`]). Per-node storage is a [`TaskQueue`]: O(1)
+//! FIFO pops and O(log k) heap pops instead of the O(k) scan + O(k)
+//! `Vec::remove` of the seed implementation.
 
-use super::dynamic::{DynamicBalancer, EventReport, RoundEvents};
-use super::DiscreteBalancer;
-use crate::continuous::{ContinuousProcess, ContinuousRunner};
+use super::imitation::{Forwarded, Held, Imitation, Rule, Sent};
+use crate::continuous::ContinuousProcess;
 use crate::error::CoreError;
 use crate::load::InitialLoad;
 use crate::task::{Speeds, Task, TaskQueue, Weight};
-use lb_graph::{Graph, NodeId};
-use std::sync::Arc;
+use lb_graph::{EdgeId, NodeId};
 
 pub use crate::task::TaskPicker;
 
@@ -58,33 +56,16 @@ pub use crate::task::TaskPicker;
 /// assert!(alg1.metrics().max_min <= 8.0 + 1e-9);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+pub type FlowImitation<A> = Imitation<A, Alg1>;
+
+/// Algorithm 1's rule state: the imitation floor `w_max`, the task picker
+/// and the sequential round's delivery buffer.
 #[derive(Debug, Clone)]
-pub struct FlowImitation<A: ContinuousProcess> {
-    twin: ContinuousRunner<A>,
-    graph: Arc<Graph>,
-    speeds: Speeds,
-    /// Real (workload) tasks currently held by each node, with incremental
-    /// per-node weight totals.
-    queues: Vec<TaskQueue>,
-    /// Unit-weight dummy load currently held by each node.
-    dummy: Vec<u64>,
-    /// Cumulative net discrete flow along each canonical edge orientation.
-    discrete_flow: Vec<i64>,
+pub struct Alg1 {
     wmax: Weight,
     picker: TaskPicker,
-    round: usize,
-    dummy_created: u64,
-    /// Total items (real tasks + dummy units) moved over edges so far.
-    items_sent: u64,
-    name: String,
     /// Reused per-round scratch: pending real-task deliveries.
     pending_tasks: Vec<(NodeId, Task)>,
-    /// Reused per-round scratch: pending dummy deliveries per node.
-    pending_dummy: Vec<u64>,
-    /// Total weight injected by dynamic arrival events.
-    arrived_weight: u64,
-    /// Total weight drained by dynamic completion events.
-    completed_weight: u64,
 }
 
 impl<A: ContinuousProcess> FlowImitation<A> {
@@ -103,160 +84,29 @@ impl<A: ContinuousProcess> FlowImitation<A> {
         speeds: Speeds,
         picker: TaskPicker,
     ) -> Result<Self, CoreError> {
-        let graph = process.shared_graph();
-        let n = graph.node_count();
-        if initial.node_count() != n {
-            return Err(CoreError::invalid_parameter(format!(
-                "initial load has {} nodes, graph has {n}",
-                initial.node_count()
-            )));
-        }
-        if speeds.len() != n {
-            return Err(CoreError::invalid_parameter(format!(
-                "speeds vector has {} entries, graph has {n} nodes",
-                speeds.len()
-            )));
-        }
-        let wmax = initial.max_weight();
-        let name = format!("alg1({})", process.name());
-        let twin = ContinuousRunner::new(process, initial.load_vector_f64());
-        let m = graph.edge_count();
-        let queues = initial
-            .clone()
-            .into_tasks()
-            .into_iter()
-            .map(|tasks| TaskQueue::with_tasks(picker, tasks))
-            .collect();
-        Ok(FlowImitation {
-            twin,
-            graph,
-            speeds,
-            queues,
-            dummy: vec![0; n],
-            discrete_flow: vec![0; m],
-            wmax,
+        let tasks = initial.clone().into_tasks().into_iter();
+        let queues = tasks.map(|t| TaskQueue::with_tasks(picker, t)).collect();
+        let rule = Alg1 {
+            wmax: initial.max_weight(),
             picker,
-            round: 0,
-            dummy_created: 0,
-            items_sent: 0,
-            name,
             pending_tasks: Vec::new(),
-            pending_dummy: vec![0; n],
-            arrived_weight: 0,
-            completed_weight: 0,
-        })
-    }
-
-    /// Replaces the topology (and the continuous twin) mid-run: the
-    /// churn-event half of a dynamic scenario.
-    ///
-    /// `process` is a freshly built continuous process on the new graph. Per-
-    /// node task queues and dummy holdings carry over index-by-index; if the
-    /// new graph is smaller, the tasks of removed nodes are re-queued on node
-    /// 0 (the deterministic "orphan adoption" rule); if it is larger, the new
-    /// nodes start empty. The twin restarts from the *current* discrete load
-    /// vector and both flow ledgers reset to zero — imitation begins a fresh
-    /// epoch on the new topology, so the Observation 4 deviation bound holds
-    /// per epoch.
-    ///
-    /// For a same-size rewire this reuses every engine buffer (queues, twin
-    /// load/flow vectors, ledgers are cleared in place, not reallocated);
-    /// only a node-count change reallocates the carried containers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if the new graph is empty.
-    pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
-        let graph = process.shared_graph();
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(CoreError::invalid_parameter(
-                "cannot replace topology with an empty graph",
-            ));
-        }
-        // Orphaned tasks and dummies (nodes beyond the new n) move to node 0.
-        while self.queues.len() > n {
-            // lint: allow(R03, non-empty by the loop condition)
-            let mut orphan = self.queues.pop().expect("len checked above");
-            while let Some(task) = orphan.pop() {
-                self.queues[0].push(task);
-            }
-            // lint: allow(R03, dummy mirrors queues length by construction)
-            let dummies = self.dummy.pop().expect("dummy tracks queues");
-            self.dummy[0] += dummies;
-        }
-        while self.queues.len() < n {
-            self.queues.push(TaskQueue::new(self.picker));
-            self.dummy.push(0);
-        }
-        // Speeds follow the same carry-over rule: truncate or pad with the
-        // unit speed. A same-size rewire carries speeds through untouched.
-        if self.speeds.len() != n {
-            let mut speed_values = self.speeds.as_slice().to_vec();
-            speed_values.resize(n, 1);
-            // lint: allow(R03, carried values validated positive at admission)
-            self.speeds = Speeds::new(speed_values).expect("carried speeds stay positive");
-        }
-        // The twin restarts from the current discrete loads (real + dummy),
-        // and both cumulative-flow ledgers reset together.
-        self.name = format!("alg1({})", process.name());
-        self.twin.rebind(
-            process,
-            self.queues
-                .iter()
-                .zip(&self.dummy)
-                .map(|(queue, &d)| (queue.total_weight() + d) as f64),
-        );
-        self.graph = graph;
-        self.discrete_flow.clear();
-        self.discrete_flow.resize(self.graph.edge_count(), 0);
-        self.pending_tasks.clear();
-        self.pending_dummy.clear();
-        self.pending_dummy.resize(n, 0);
-        Ok(())
+        };
+        Imitation::build(process, initial, speeds, queues, rule)
     }
 
     /// The maximum task weight `w_max` the discretization assumes.
     pub fn wmax(&self) -> Weight {
-        self.wmax
+        self.rule.wmax
     }
 
     /// The task-picking policy in use.
     pub fn picker(&self) -> TaskPicker {
-        self.picker
-    }
-
-    /// The continuous twin being imitated.
-    pub fn continuous(&self) -> &ContinuousRunner<A> {
-        &self.twin
-    }
-
-    /// Total dummy load created from the infinite source so far.
-    pub fn dummy_created(&self) -> u64 {
-        self.dummy_created
-    }
-
-    /// Per-node dummy holdings. In a federated partition only the owned
-    /// entries are authoritative (foreign slots are stale); a sampler must
-    /// slice its own node range.
-    pub fn dummy_holdings(&self) -> &[u64] {
-        &self.dummy
+        self.rule.picker
     }
 
     /// Total items (real tasks and dummy units) sent over edges so far.
     pub fn items_sent(&self) -> u64 {
         self.items_sent
-    }
-
-    /// Per-node loads *excluding* dummy load (the real workload only).
-    ///
-    /// Each entry is O(1): the queues maintain their totals incrementally,
-    /// so sampling this inside an experiment loop costs O(n), not O(n·k).
-    pub fn real_loads(&self) -> Vec<f64> {
-        self.queues
-            .iter()
-            .map(|queue| queue.total_weight() as f64)
-            .collect()
     }
 
     /// A snapshot of the tasks currently held by node `i` (dummy load not
@@ -266,7 +116,7 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ///
     /// Panics if `i` is out of range.
     pub fn tasks_of(&self, i: NodeId) -> Vec<Task> {
-        self.queues[i].iter().copied().collect()
+        self.items[i].iter().copied().collect()
     }
 
     /// Number of tasks currently held by node `i` (dummy load not included).
@@ -275,19 +125,7 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     ///
     /// Panics if `i` is out of range.
     pub fn task_count_of(&self, i: NodeId) -> usize {
-        self.queues[i].len()
-    }
-
-    /// Maximum absolute per-edge deviation `|e_e(t)| = |f^A_e(t) − f^D_e(t)|`
-    /// between the continuous and discrete cumulative flows. Observation 4
-    /// guarantees this stays below `w_max`.
-    pub fn max_flow_deviation(&self) -> f64 {
-        self.twin
-            .cumulative_flows()
-            .iter()
-            .zip(&self.discrete_flow)
-            .map(|(&fa, &fd)| (fa - fd as f64).abs())
-            .fold(0.0, f64::max)
+        self.items[i].len()
     }
 
     /// Captures the engine's full state at a between-rounds boundary (the
@@ -295,9 +133,8 @@ impl<A: ContinuousProcess> FlowImitation<A> {
     /// only — allocates freely; rounds between checkpoints stay
     /// allocation-free.
     pub fn capture(&self) -> crate::snapshot::EngineState {
-        debug_assert!(self.pending_tasks.is_empty(), "capture between rounds only");
         let queues = self
-            .queues
+            .items
             .iter()
             .map(|queue| {
                 let (next_seq, entries) = queue.snapshot();
@@ -310,8 +147,8 @@ impl<A: ContinuousProcess> FlowImitation<A> {
             discrete: crate::snapshot::DiscreteState::Alg1(crate::snapshot::Alg1State {
                 queues,
                 dummy: self.dummy.clone(),
-                discrete_flow: self.discrete_flow.clone(),
-                wmax: self.wmax,
+                discrete_flow: self.ledger.clone(),
+                wmax: self.rule.wmax,
                 dummy_created: self.dummy_created,
                 items_sent: self.items_sent,
                 arrived_weight: self.arrived_weight,
@@ -340,488 +177,157 @@ impl<A: ContinuousProcess> FlowImitation<A> {
                 "snapshot carries Algorithm 2 state but the engine runs Algorithm 1",
             ));
         };
-        let n = self.graph.node_count();
-        let m = self.graph.edge_count();
-        if alg1.queues.len() != n || alg1.dummy.len() != n {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot has {} node entries, graph has {n} nodes",
-                alg1.queues.len()
-            )));
-        }
-        if alg1.discrete_flow.len() != m {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot flow ledger has {} entries, graph has {m} edges",
-                alg1.discrete_flow.len()
-            )));
-        }
-        self.twin.restore(&state.twin)?;
-        let queues = alg1
+        let counters = [
+            alg1.dummy_created,
+            alg1.arrived_weight,
+            alg1.completed_weight,
+        ];
+        let nodes = alg1.queues.len();
+        self.restore_shared(state, nodes, &alg1.dummy, &alg1.discrete_flow, counters)?;
+        let picker = self.rule.picker;
+        self.items = alg1
             .queues
             .iter()
             .enumerate()
             .map(|(node, queue)| {
-                TaskQueue::restore(self.picker, queue.next_seq, &queue.entries)
+                TaskQueue::restore(picker, queue.next_seq, &queue.entries)
                     .map_err(|e| SnapshotError::mismatch(format!("queue of node {node}: {e}")))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        self.queues = queues;
-        self.dummy.copy_from_slice(&alg1.dummy);
-        self.discrete_flow.copy_from_slice(&alg1.discrete_flow);
-        self.wmax = alg1.wmax;
-        self.round = state.round as usize;
-        self.dummy_created = alg1.dummy_created;
+        self.rule.wmax = alg1.wmax;
         self.items_sent = alg1.items_sent;
-        self.arrived_weight = alg1.arrived_weight;
-        self.completed_weight = alg1.completed_weight;
-        self.pending_tasks.clear();
-        self.pending_dummy.clear();
-        self.pending_dummy.resize(n, 0);
         Ok(())
     }
+}
 
-    /// Sharded [`step`](DiscreteBalancer::step): the twin advances through
-    /// [`ContinuousRunner::step_sharded`], then each shard worker forwards
-    /// tasks over the edges whose **sender** lies in its node range (so all
-    /// pops from one queue happen on one thread, in canonical edge order —
-    /// exactly the sequential pop sequence), appending deliveries to
-    /// per-shard outboxes. The apply phase drains the outboxes with task
-    /// deliveries merged back into global edge order, making the whole round
-    /// **bit-identical** to [`step`](DiscreteBalancer::step) for every shard
-    /// count.
-    ///
-    /// The executor rebinds itself to the engine's current topology (plan
-    /// rebuild after [`replace_topology`](FlowImitation::replace_topology)
-    /// happens on the next sharded step). Steady-state calls on an unchanged
-    /// topology do not allocate once the outboxes have warmed up.
-    // lint: zero-alloc
-    pub fn step_sharded(&mut self, exec: &mut crate::shard::ShardedExecutor)
-    where
-        A: Sync,
-    {
-        exec.ensure_plan(&self.graph);
-        if exec.shard_count() == 1 {
-            self.step();
-            return;
-        }
-        self.twin.step_sharded(exec);
+impl Rule for Alg1 {
+    type Item = TaskQueue;
+    type Params = Weight;
+    const TAG: &'static str = "alg1";
 
-        let wmax = self.wmax as f64;
-        {
-            let continuous_flow = self.twin.cumulative_flows();
-            let discrete_flow = &self.discrete_flow[..];
-            let graph = &*self.graph;
-            let queues = crate::shard::SharedSliceMut::new(&mut self.queues);
-            let dummy = crate::shard::SharedSliceMut::new(&mut self.dummy);
-            let (pool, plan, scratch) = exec.split();
-            pool.run(|s| {
-                // SAFETY: scratch cell and node range belong to shard `s`
-                // alone; node ranges partition `0..n`.
-                let scratch = unsafe { &mut *scratch[s].get() };
-                scratch.task_out.clear();
-                scratch.dummy_out.clear();
-                scratch.flow_out.clear();
-                scratch.items_sent = 0;
-                scratch.dummy_created = 0;
-                let nodes = plan.node_range(s);
-                if nodes.is_empty() {
-                    return;
-                }
-                let lo = nodes.start;
-                let queues_s = unsafe { queues.range_mut(nodes.clone()) };
-                let dummy_s = unsafe { dummy.range_mut(nodes.clone()) };
-                let edges = graph.edges();
-                for &e in plan.incident(s) {
-                    let (u, v) = edges[e];
-                    let deficit = continuous_flow[e] - discrete_flow[e] as f64;
-                    let (sender, receiver, magnitude, sign) = if deficit >= 0.0 {
-                        (u, v, deficit, 1i64)
-                    } else {
-                        (v, u, -deficit, -1i64)
-                    };
-                    // Exactly one of the (up to two) shards incident to this
-                    // edge owns the sender and processes it.
-                    if !nodes.contains(&sender) {
-                        continue;
-                    }
-                    let mut moved: u64 = 0;
-                    let mut dummy_moved: u64 = 0;
-                    while magnitude - moved as f64 >= wmax {
-                        if let Some(task) = queues_s[sender - lo].pop() {
-                            moved += task.weight();
-                            scratch.task_out.push((e, receiver, task));
-                        } else {
-                            if dummy_s[sender - lo] > 0 {
-                                dummy_s[sender - lo] -= 1;
-                            } else {
-                                scratch.dummy_created += 1;
-                            }
-                            moved += 1;
-                            dummy_moved += 1;
-                        }
-                        scratch.items_sent += 1;
-                    }
-                    if dummy_moved > 0 {
-                        scratch.dummy_out.push((receiver, dummy_moved));
-                    }
-                    if moved > 0 {
-                        scratch.flow_out.push((e, sign * moved as i64));
-                    }
-                }
-            });
-        }
-        // Apply phase: task deliveries in global edge order (the order the
-        // sequential engine filled `pending_tasks` in), then the additive
-        // effects, whose order cannot be observed.
-        exec.drain_merged_tasks(|receiver, task| self.queues[receiver].push(task));
-        let mut items_sent = 0;
-        let mut dummy_created = 0;
-        for scratch in exec.shard_results() {
-            for &(e, delta) in &scratch.flow_out {
-                self.discrete_flow[e] += delta;
-            }
-            for &(receiver, amount) in &scratch.dummy_out {
-                self.dummy[receiver] += amount;
-            }
-            items_sent += scratch.items_sent;
-            dummy_created += scratch.dummy_created;
-        }
-        self.items_sent += items_sent;
-        self.dummy_created += dummy_created;
-        self.round += 1;
+    fn params(&self, _round: usize) -> Weight {
+        self.wmax
     }
 
-    /// Federated [`step`](DiscreteBalancer::step): this engine instance owns
-    /// one contiguous node range of a larger simulation and exchanges three
-    /// payloads per round over `link` (boundary twin loads, crossing-edge
-    /// flows, cross-partition deliveries). The twin advances through
-    /// [`ContinuousRunner::step_federated`](crate::continuous::ContinuousRunner::step_federated),
-    /// then this part forwards tasks over the edges whose **sender** it owns
-    /// — the same unique-sender rule as the sharded step — routing deliveries
-    /// either locally or into the outgoing [`SendBatch`](crate::SendBatch).
-    /// Incoming batches merge back into global edge order, so the owned slice
-    /// of every state vector stays **bit-identical** to the sequential
-    /// engine's at every round.
-    ///
-    /// Counters (`dummy_created`, `items_sent`, `arrived_weight`,
-    /// `completed_weight`) hold this part's disjoint partial sums; foreign
-    /// entries of per-node and per-edge vectors are stale and never read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Federation`] if an exchange fails or a peer sends
-    /// a malformed payload, and [`CoreError::InvalidParameter`] if the
-    /// underlying process does not support range-split kernels.
-    pub fn step_federated(
-        &mut self,
-        fed: &mut crate::federate::FederatedExecutor,
-        link: &mut dyn crate::federate::FederateLink,
-    ) -> Result<(), CoreError>
-    where
-        A: Sync,
-    {
-        fed.ensure_plan(&self.graph)?;
-        self.twin.step_federated(fed, link)?;
-
-        debug_assert!(self.pending_tasks.is_empty());
-        self.pending_dummy.fill(0);
-        fed.batch.clear();
-        fed.local.clear();
-
-        let continuous_flow = self.twin.cumulative_flows();
-        let edges = self.graph.edges();
-        for &e in fed.plan.incident() {
-            let (u, v) = edges[e];
-            let deficit = continuous_flow[e] - self.discrete_flow[e] as f64;
+    /// Forward whole tasks while the remaining deficit is at least `w_max`:
+    /// the paper's floor rule for unit tasks, which keeps the per-edge
+    /// deviation in `[0, w_max)`.
+    // Inlined into each caller: out of line, the send-heavy early rounds of
+    // a spike measured ~5% slower.
+    // lint: zero-alloc
+    #[inline(always)]
+    fn forward(
+        wmax: Weight,
+        edges: impl Iterator<Item = EdgeId>,
+        held: Held<'_, TaskQueue>,
+        edge: impl Fn(EdgeId) -> (NodeId, NodeId, f64),
+        mut emit: impl FnMut(EdgeId, NodeId, Sent),
+    ) -> Forwarded {
+        let wmax = wmax as f64;
+        let mut sent = Forwarded::default();
+        for e in edges {
+            let (u, v, deficit) = edge(e);
             let (sender, receiver, magnitude, sign) = if deficit >= 0.0 {
                 (u, v, deficit, 1i64)
             } else {
                 (v, u, -deficit, -1i64)
             };
-            // Exactly one part owns the sender and processes this edge; the
-            // receiving part learns the flow delta from the send exchange.
-            if !fed.plan.owns_node(sender) {
+            // Exactly one owner holds the sender and processes this edge.
+            let Some(k) = held.slot(sender) else {
                 continue;
-            }
-            let receiver_owned = fed.plan.owns_node(receiver);
+            };
             let mut moved: u64 = 0;
             let mut dummy_moved: u64 = 0;
-            while magnitude - moved as f64 >= self.wmax as f64 {
-                if let Some(task) = self.queues[sender].pop() {
+            while magnitude - moved as f64 >= wmax {
+                // Prefer a real task; fall back to a held dummy, then the
+                // infinite source. Dummies behave like normal tokens once
+                // created, so any choice is admissible per the paper.
+                if let Some(task) = held.items[k].pop() {
                     moved += task.weight();
-                    if receiver_owned {
-                        fed.local.push((e, receiver, task));
-                    } else {
-                        fed.batch.tasks.push((e, receiver, task));
-                    }
+                    emit(e, receiver, Sent::Task(task));
                 } else {
-                    if self.dummy[sender] > 0 {
-                        self.dummy[sender] -= 1;
+                    if held.dummy[k] > 0 {
+                        held.dummy[k] -= 1;
                     } else {
-                        self.dummy_created += 1;
+                        sent.dummy_created += 1;
                     }
                     moved += 1;
                     dummy_moved += 1;
                 }
-                self.items_sent += 1;
+                sent.items_sent += 1;
             }
             if dummy_moved > 0 {
-                if receiver_owned {
-                    self.pending_dummy[receiver] += dummy_moved;
-                } else {
-                    fed.batch.dummy.push((receiver, dummy_moved));
-                }
+                emit(e, receiver, Sent::Dummy(dummy_moved));
             }
             if moved > 0 {
-                let delta = sign * moved as i64;
-                self.discrete_flow[e] += delta;
-                if !receiver_owned {
-                    fed.batch.deltas.push((e, delta));
-                }
+                emit(e, receiver, Sent::Ledger(sign * moved as i64));
             }
         }
-
-        let batches = link.exchange_sends(&fed.batch)?;
-        // Task deliveries in global edge order: the k-way merge interleaves
-        // this part's local deliveries with every foreign batch exactly as
-        // the sequential engine filled `pending_tasks`.
-        fed.merge_deliveries(&batches, |receiver, task| self.queues[receiver].push(task));
-
-        // Additive effects, whose order cannot be observed.
-        for (node, amount) in self.pending_dummy.iter().enumerate() {
-            self.dummy[node] += amount;
-        }
-        for (rank, batch) in batches.iter().enumerate() {
-            if rank == fed.part() {
-                continue;
-            }
-            for &(receiver, amount) in &batch.dummy {
-                if fed.plan.owns_node(receiver) {
-                    self.dummy[receiver] += amount;
-                }
-            }
-            // Crossing-edge flow deltas keep the receiving side's ledger in
-            // sync; entries for edges this part is not incident to land in
-            // stale slots that are never read.
-            for &(e, delta) in &batch.deltas {
-                let slot = self.discrete_flow.get_mut(e).ok_or_else(|| {
-                    CoreError::federation(format!("flow delta for unknown edge {e}"))
-                })?;
-                *slot += delta;
-            }
-        }
-        self.round += 1;
-        Ok(())
-    }
-
-    /// Federated [`apply_events`](DynamicBalancer::apply_events): every part
-    /// sees the **full** event stream (scenario-derived, so no broadcast is
-    /// needed) but applies queue and twin effects only for the nodes it owns.
-    /// `w_max` tracks all arrivals — it is global state every part must agree
-    /// on. The returned report counts owned events only, so gathered partials
-    /// sum to the sequential report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if an event names a node
-    /// outside the graph (checked for all events, owned or not).
-    pub fn apply_events_federated(
-        &mut self,
-        events: &RoundEvents,
-        fed: &mut crate::federate::FederatedExecutor,
-    ) -> Result<EventReport, CoreError> {
-        fed.ensure_plan(&self.graph)?;
-        let n = self.graph.node_count();
-        let mut report = EventReport::default();
-        for &(node, budget) in &events.completions {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "completion on node {node}, graph has {n} nodes"
-                )));
-            }
-            if !fed.plan.owns_node(node) {
-                continue;
-            }
-            let mut remaining = budget;
-            while let Some(task) = self.queues[node].peek() {
-                let w = task.weight();
-                if w > remaining {
-                    break;
-                }
-                self.queues[node].pop();
-                remaining -= w;
-                report.completed_tasks += 1;
-                report.completed_weight += w;
-                self.twin.adjust_load(node, -(w as f64));
-            }
-        }
-        for &(node, task) in &events.arrivals {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "arrival on node {node}, graph has {n} nodes"
-                )));
-            }
-            let w = task.weight();
-            // Global: every part tracks the heaviest task ever seen, owned
-            // or not, so the imitation floor rule agrees across parts.
-            self.wmax = self.wmax.max(w);
-            if !fed.plan.owns_node(node) {
-                continue;
-            }
-            self.queues[node].push(task);
-            self.twin.adjust_load(node, w as f64);
-            report.arrived_tasks += 1;
-            report.arrived_weight += w;
-        }
-        self.arrived_weight += report.arrived_weight;
-        self.completed_weight += report.completed_weight;
-        Ok(report)
-    }
-}
-
-impl<A: ContinuousProcess> DiscreteBalancer for FlowImitation<A> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn speeds(&self) -> &Speeds {
-        &self.speeds
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn loads(&self) -> Vec<f64> {
-        self.queues
-            .iter()
-            .zip(&self.dummy)
-            .map(|(queue, &d)| (queue.total_weight() + d) as f64)
-            .collect()
-    }
-
-    fn dummy_load(&self) -> u64 {
-        self.dummy.iter().sum()
+        sent
     }
 
     // lint: zero-alloc
-    fn step(&mut self) {
-        // Advance the continuous twin so f^A now refers to the end of the
-        // current round t.
-        self.twin.step();
-
-        // Deliveries are applied after every edge has been processed so that
-        // a node can only forward tasks it held at the beginning of the round
-        // (plus freshly generated dummies). Both buffers are struct-owned and
-        // reused across rounds.
-        debug_assert!(self.pending_tasks.is_empty());
-        self.pending_dummy.fill(0);
-
-        let continuous_flow = self.twin.cumulative_flows();
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            // Flow deficit along the canonical orientation.
-            let deficit = continuous_flow[e] - self.discrete_flow[e] as f64;
-            let (sender, receiver, magnitude, sign) = if deficit >= 0.0 {
-                (u, v, deficit, 1i64)
-            } else {
-                (v, u, -deficit, -1i64)
-            };
-            // Forward whole tasks while the remaining deficit is at least
-            // w_max; this matches the paper's floor rule for unit tasks and
-            // keeps the per-edge deviation in [0, w_max).
-            let mut moved: u64 = 0;
-            while magnitude - moved as f64 >= self.wmax as f64 {
-                // Prefer a real task; fall back to a held dummy, then the
-                // infinite source. Dummies behave like normal tokens once
-                // created, so any choice is admissible per the paper.
-                if let Some(task) = self.queues[sender].pop() {
-                    moved += task.weight();
-                    self.pending_tasks.push((receiver, task));
-                } else {
-                    if self.dummy[sender] > 0 {
-                        self.dummy[sender] -= 1;
-                    } else {
-                        self.dummy_created += 1;
-                    }
-                    moved += 1;
-                    self.pending_dummy[receiver] += 1;
-                }
-                self.items_sent += 1;
-            }
-            self.discrete_flow[e] += sign * moved as i64;
+    #[inline(always)]
+    fn pend(&mut self, receiver: NodeId, sent: Sent, pending_dummy: &mut [u64]) {
+        match sent {
+            Sent::Task(task) => self.pending_tasks.push((receiver, task)),
+            Sent::Dummy(amount) => pending_dummy[receiver] += amount,
+            Sent::Tokens(..) | Sent::Ledger(_) => {}
         }
-
-        // Apply deliveries. `mem::take` detaches the buffer so the borrow
-        // checker allows pushing into `queues`; clearing preserves capacity.
-        let mut pending_tasks = std::mem::take(&mut self.pending_tasks);
-        for &(receiver, task) in &pending_tasks {
-            self.queues[receiver].push(task);
-        }
-        pending_tasks.clear();
-        self.pending_tasks = pending_tasks;
-
-        for (node, amount) in self.pending_dummy.iter().enumerate() {
-            self.dummy[node] += amount;
-        }
-        self.round += 1;
     }
-}
 
-impl<A: ContinuousProcess> DynamicBalancer for FlowImitation<A> {
-    fn apply_events(&mut self, events: &RoundEvents) -> Result<EventReport, CoreError> {
-        let n = self.graph.node_count();
-        let mut report = EventReport::default();
-        // Completions first: finished work leaves both the queues and the
-        // twin. Whole tasks only, in pick order, while the budget lasts.
-        for &(node, budget) in &events.completions {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "completion on node {node}, graph has {n} nodes"
-                )));
-            }
-            let mut remaining = budget;
-            while let Some(task) = self.queues[node].peek() {
-                let w = task.weight();
-                if w > remaining {
-                    break;
-                }
-                self.queues[node].pop();
-                remaining -= w;
-                report.completed_tasks += 1;
-                report.completed_weight += w;
-                self.twin.adjust_load(node, -(w as f64));
-            }
+    // lint: zero-alloc
+    fn land(&mut self, queues: &mut [TaskQueue]) {
+        for (receiver, task) in self.pending_tasks.drain(..) {
+            queues[receiver].push(task);
         }
-        // Arrivals: new work lands on a queue and on the twin; w_max tracks
-        // the heaviest task ever seen so the imitation floor rule stays
-        // conservative.
-        for &(node, task) in &events.arrivals {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "arrival on node {node}, graph has {n} nodes"
-                )));
-            }
+    }
+
+    /// Arrivals raise `w_max` to the heaviest task ever seen, so the
+    /// imitation floor rule stays conservative.
+    fn admit(&mut self, task: Task) -> Result<(), CoreError> {
+        self.wmax = self.wmax.max(task.weight());
+        Ok(())
+    }
+
+    fn empty(&self) -> TaskQueue {
+        TaskQueue::new(self.picker)
+    }
+
+    fn reset(&mut self, _n: usize) {
+        self.pending_tasks.clear();
+    }
+
+    fn weight(queue: &TaskQueue) -> u64 {
+        queue.total_weight()
+    }
+
+    fn deliver(queue: &mut TaskQueue, task: Task) {
+        queue.push(task);
+    }
+
+    fn adopt(queue: &mut TaskQueue, mut orphan: TaskQueue) {
+        while let Some(task) = orphan.pop() {
+            queue.push(task);
+        }
+    }
+
+    /// Whole tasks only, in pick order, while the budget lasts.
+    fn complete(queue: &mut TaskQueue, budget: u64, mut drained: impl FnMut(u64, u64)) {
+        let mut remaining = budget;
+        while let Some(task) = queue.peek() {
             let w = task.weight();
-            self.wmax = self.wmax.max(w);
-            self.queues[node].push(task);
-            self.twin.adjust_load(node, w as f64);
-            report.arrived_tasks += 1;
-            report.arrived_weight += w;
+            if w > remaining {
+                break;
+            }
+            queue.pop();
+            remaining -= w;
+            drained(1, w);
         }
-        self.arrived_weight += report.arrived_weight;
-        self.completed_weight += report.completed_weight;
-        Ok(report)
     }
 
-    fn completed_weight(&self) -> u64 {
-        self.completed_weight
-    }
-
-    fn arrived_weight(&self) -> u64 {
-        self.arrived_weight
+    fn tokens(_: &mut [TaskQueue]) -> &mut [u64] {
+        &mut []
     }
 }
 
@@ -829,9 +335,10 @@ impl<A: ContinuousProcess> DynamicBalancer for FlowImitation<A> {
 mod tests {
     use super::*;
     use crate::continuous::{DimensionExchange, Fos, RandomMatching};
+    use crate::discrete::DiscreteBalancer;
     use crate::metrics;
     use crate::task::TaskId;
-    use lb_graph::{generators, AlphaScheme};
+    use lb_graph::{generators, AlphaScheme, Graph};
 
     fn fos_on(graph: Graph, speeds: &Speeds) -> Fos {
         Fos::new(graph, speeds, AlphaScheme::MaxDegreePlusOne).unwrap()

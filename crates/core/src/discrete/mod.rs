@@ -20,11 +20,14 @@
 pub mod baselines;
 pub mod dynamic;
 mod flow_imitation;
+mod imitation;
 mod randomized_imitation;
 
 pub use dynamic::{DynamicBalancer, EventReport, RoundEvents};
 pub use flow_imitation::{FlowImitation, TaskPicker};
 pub use randomized_imitation::{edge_rounding_rng, RandomizedImitation};
+
+pub(crate) use imitation::{Forwarded, Held, Outbox, Rule};
 
 use crate::metrics::MetricsSnapshot;
 use crate::task::Speeds;

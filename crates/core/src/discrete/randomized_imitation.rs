@@ -21,16 +21,14 @@
 //! `(d/4 + Θ(√(d·log n)))·s_i` per node the max-min discrepancy is
 //! `O(√(d·log n))` w.h.p.
 
-use super::dynamic::{DynamicBalancer, EventReport, RoundEvents};
-use super::DiscreteBalancer;
-use crate::continuous::{ContinuousProcess, ContinuousRunner};
+use super::imitation::{Forwarded, Held, Imitation, Rule, Sent};
+use crate::continuous::ContinuousProcess;
 use crate::error::CoreError;
 use crate::load::InitialLoad;
-use crate::task::Speeds;
-use lb_graph::Graph;
+use crate::task::{Speeds, Task};
+use lb_graph::{EdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// The sub-RNG deciding whether edge `edge`'s fractional deficit rounds up
 /// in round `round`, derived from the master `seed` the same way the
@@ -71,31 +69,18 @@ pub fn edge_rounding_rng(seed: u64, round: usize, edge: usize) -> StdRng {
 /// assert!(alg2.metrics().max_min < 16.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+pub type RandomizedImitation<A> = Imitation<A, Alg2>;
+
+/// Algorithm 2's rule state: the master seed and the sequential round's
+/// dense per-node delivery buffer.
 #[derive(Debug, Clone)]
-pub struct RandomizedImitation<A: ContinuousProcess> {
-    twin: ContinuousRunner<A>,
-    graph: Arc<Graph>,
-    speeds: Speeds,
-    /// Real (workload) tokens held by each node.
-    tokens: Vec<u64>,
-    /// Dummy tokens held by each node.
-    dummy: Vec<u64>,
-    /// Cumulative net discrete flow along each canonical edge orientation.
-    discrete_flow: Vec<i64>,
+pub struct Alg2 {
     /// Master seed; every rounding decision derives its own sub-RNG from it
     /// (see [`edge_rounding_rng`]).
     seed: u64,
-    round: usize,
-    dummy_created: u64,
-    name: String,
-    /// Reused per-round scratch: pending real-token deliveries per node.
+    /// Reused per-round scratch: pending real-token deliveries per node,
+    /// zero between rounds.
     pending_real: Vec<u64>,
-    /// Reused per-round scratch: pending dummy deliveries per node.
-    pending_dummy: Vec<u64>,
-    /// Total weight injected by dynamic arrival events.
-    arrived_weight: u64,
-    /// Total weight drained by dynamic completion events.
-    completed_weight: u64,
 }
 
 impl<A: ContinuousProcess> RandomizedImitation<A> {
@@ -118,126 +103,9 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
                 "randomized flow imitation (Algorithm 2) requires unit-weight tasks",
             ));
         }
-        let graph = process.shared_graph();
-        let n = graph.node_count();
-        if initial.node_count() != n {
-            return Err(CoreError::invalid_parameter(format!(
-                "initial load has {} nodes, graph has {n}",
-                initial.node_count()
-            )));
-        }
-        if speeds.len() != n {
-            return Err(CoreError::invalid_parameter(format!(
-                "speeds vector has {} entries, graph has {n} nodes",
-                speeds.len()
-            )));
-        }
-        let name = format!("alg2({})", process.name());
-        let twin = ContinuousRunner::new(process, initial.load_vector_f64());
-        let m = graph.edge_count();
-        Ok(RandomizedImitation {
-            twin,
-            graph,
-            speeds,
-            tokens: initial.load_vector(),
-            dummy: vec![0; n],
-            discrete_flow: vec![0; m],
-            seed,
-            round: 0,
-            dummy_created: 0,
-            name,
-            pending_real: vec![0; n],
-            pending_dummy: vec![0; n],
-            arrived_weight: 0,
-            completed_weight: 0,
-        })
-    }
-
-    /// Replaces the topology (and the continuous twin) mid-run: the
-    /// churn-event half of a dynamic scenario. Same carry-over rules as
-    /// `FlowImitation::replace_topology`: per-node token counts carry over
-    /// index-by-index, removed nodes bequeath their tokens to node 0, new
-    /// nodes start empty, and the twin restarts from the current discrete
-    /// load vector with both flow ledgers reset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if the new graph is empty.
-    pub fn replace_topology(&mut self, process: A) -> Result<(), CoreError> {
-        let graph = process.shared_graph();
-        let n = graph.node_count();
-        if n == 0 {
-            return Err(CoreError::invalid_parameter(
-                "cannot replace topology with an empty graph",
-            ));
-        }
-        while self.tokens.len() > n {
-            // lint: allow(R03, non-empty by the loop condition)
-            let orphan_tokens = self.tokens.pop().expect("len checked above");
-            self.tokens[0] += orphan_tokens;
-            // lint: allow(R03, dummy mirrors tokens length by construction)
-            let orphan_dummy = self.dummy.pop().expect("dummy tracks tokens");
-            self.dummy[0] += orphan_dummy;
-        }
-        self.tokens.resize(n, 0);
-        self.dummy.resize(n, 0);
-        // A same-size rewire carries speeds through untouched.
-        if self.speeds.len() != n {
-            let mut speed_values = self.speeds.as_slice().to_vec();
-            speed_values.resize(n, 1);
-            // lint: allow(R03, carried values validated positive at admission)
-            self.speeds = Speeds::new(speed_values).expect("carried speeds stay positive");
-        }
-        self.name = format!("alg2({})", process.name());
-        self.twin.rebind(
-            process,
-            self.tokens
-                .iter()
-                .zip(&self.dummy)
-                .map(|(&t, &d)| (t + d) as f64),
-        );
-        self.graph = graph;
-        self.discrete_flow.clear();
-        self.discrete_flow.resize(self.graph.edge_count(), 0);
-        self.pending_real.clear();
-        self.pending_real.resize(n, 0);
-        self.pending_dummy.clear();
-        self.pending_dummy.resize(n, 0);
-        Ok(())
-    }
-
-    /// The continuous twin being imitated.
-    pub fn continuous(&self) -> &ContinuousRunner<A> {
-        &self.twin
-    }
-
-    /// Total dummy load created from the infinite source so far.
-    pub fn dummy_created(&self) -> u64 {
-        self.dummy_created
-    }
-
-    /// Per-node dummy holdings. In a federated partition only the owned
-    /// entries are authoritative (foreign slots are stale); a sampler must
-    /// slice its own node range.
-    pub fn dummy_holdings(&self) -> &[u64] {
-        &self.dummy
-    }
-
-    /// Per-node loads excluding dummy tokens.
-    pub fn real_loads(&self) -> Vec<f64> {
-        self.tokens.iter().map(|&t| t as f64).collect()
-    }
-
-    /// Maximum absolute per-edge deviation `|E_e(t)|` between the continuous
-    /// and discrete cumulative flows. With randomized rounding this stays
-    /// below 1 (part (3) of Observation 9).
-    pub fn max_flow_deviation(&self) -> f64 {
-        self.twin
-            .cumulative_flows()
-            .iter()
-            .zip(&self.discrete_flow)
-            .map(|(&fa, &fd)| (fa - fd as f64).abs())
-            .fold(0.0, f64::max)
+        let pending_real = vec![0; initial.node_count()];
+        let rule = Alg2 { seed, pending_real };
+        Imitation::build(process, initial, speeds, initial.load_vector(), rule)
     }
 
     /// Captures the engine's full state at a between-rounds boundary for a
@@ -250,10 +118,10 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
             round: self.round as u64,
             twin: self.twin.capture(),
             discrete: crate::snapshot::DiscreteState::Alg2(crate::snapshot::Alg2State {
-                tokens: self.tokens.clone(),
+                tokens: self.items.clone(),
                 dummy: self.dummy.clone(),
-                discrete_flow: self.discrete_flow.clone(),
-                seed: self.seed,
+                discrete_flow: self.ledger.clone(),
+                seed: self.rule.seed,
                 dummy_created: self.dummy_created,
                 arrived_weight: self.arrived_weight,
                 completed_weight: self.completed_weight,
@@ -281,440 +149,139 @@ impl<A: ContinuousProcess> RandomizedImitation<A> {
                 "snapshot carries Algorithm 1 state but the engine runs Algorithm 2",
             ));
         };
-        let n = self.graph.node_count();
-        let m = self.graph.edge_count();
-        if alg2.tokens.len() != n || alg2.dummy.len() != n {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot has {} node entries, graph has {n} nodes",
-                alg2.tokens.len()
-            )));
-        }
-        if alg2.discrete_flow.len() != m {
-            return Err(SnapshotError::mismatch(format!(
-                "snapshot flow ledger has {} entries, graph has {m} edges",
-                alg2.discrete_flow.len()
-            )));
-        }
-        if alg2.seed != self.seed {
+        if alg2.seed != self.rule.seed {
             return Err(SnapshotError::mismatch(format!(
                 "snapshot rounding seed {} differs from the run's seed {} (stale snapshot?)",
-                alg2.seed, self.seed
+                alg2.seed, self.rule.seed
             )));
         }
-        self.twin.restore(&state.twin)?;
-        self.tokens.copy_from_slice(&alg2.tokens);
-        self.dummy.copy_from_slice(&alg2.dummy);
-        self.discrete_flow.copy_from_slice(&alg2.discrete_flow);
-        self.round = state.round as usize;
-        self.dummy_created = alg2.dummy_created;
-        self.arrived_weight = alg2.arrived_weight;
-        self.completed_weight = alg2.completed_weight;
+        let counters = [
+            alg2.dummy_created,
+            alg2.arrived_weight,
+            alg2.completed_weight,
+        ];
+        let nodes = alg2.tokens.len();
+        self.restore_shared(state, nodes, &alg2.dummy, &alg2.discrete_flow, counters)?;
+        self.items.copy_from_slice(&alg2.tokens);
+        Ok(())
+    }
+}
+
+impl Rule for Alg2 {
+    type Item = u64;
+    type Params = (u64, usize);
+    const TAG: &'static str = "alg2";
+
+    fn params(&self, round: usize) -> (u64, usize) {
+        (self.seed, round)
+    }
+
+    /// Round the deficit up with probability equal to its fractional part,
+    /// drawn from the edge's own `(seed, round, edge)` sub-RNG, and send that
+    /// many tokens.
+    // lint: zero-alloc
+    #[inline(always)]
+    fn forward(
+        (seed, round): (u64, usize),
+        edges: impl Iterator<Item = EdgeId>,
+        held: Held<'_, u64>,
+        edge: impl Fn(EdgeId) -> (NodeId, NodeId, f64),
+        mut emit: impl FnMut(EdgeId, NodeId, Sent),
+    ) -> Forwarded {
+        use rand::Rng;
+        let mut sent = Forwarded::default();
+        for e in edges {
+            let (u, v, deficit) = edge(e);
+            if deficit == 0.0 {
+                continue;
+            }
+            let (sender, receiver, magnitude, sign) = if deficit > 0.0 {
+                (u, v, deficit, 1i64)
+            } else {
+                (v, u, -deficit, -1i64)
+            };
+            // Exactly one owner holds the sender and processes this edge.
+            let Some(k) = held.slot(sender) else {
+                continue;
+            };
+            let floor = magnitude.floor();
+            let fraction = magnitude - floor;
+            let round_up =
+                fraction > 0.0 && edge_rounding_rng(seed, round, e).gen_bool(fraction.min(1.0));
+            let send = floor as u64 + u64::from(round_up);
+            if send == 0 {
+                continue;
+            }
+            // Prefer real tokens, then held dummies, then the infinite source.
+            let real = send.min(held.items[k]);
+            held.items[k] -= real;
+            let dummy = send - real;
+            let from_held = dummy.min(held.dummy[k]);
+            held.dummy[k] -= from_held;
+            sent.dummy_created += dummy - from_held;
+            emit(e, receiver, Sent::Tokens(real, dummy));
+            emit(e, receiver, Sent::Ledger(sign * send as i64));
+        }
+        sent
+    }
+
+    // lint: zero-alloc
+    #[inline(always)]
+    fn pend(&mut self, receiver: NodeId, sent: Sent, pending_dummy: &mut [u64]) {
+        if let Sent::Tokens(real, dummy) = sent {
+            self.pending_real[receiver] += real;
+            pending_dummy[receiver] += dummy;
+        }
+    }
+
+    // lint: zero-alloc
+    fn land(&mut self, tokens: &mut [u64]) {
+        for (held, pending) in tokens.iter_mut().zip(&mut self.pending_real) {
+            *held += std::mem::take(pending);
+        }
+    }
+
+    /// Algorithm 2 is defined for identical tasks only.
+    fn admit(&mut self, task: Task) -> Result<(), CoreError> {
+        if task.weight() != 1 {
+            return Err(CoreError::invalid_parameter(
+                "randomized flow imitation (Algorithm 2) accepts unit-weight arrivals only",
+            ));
+        }
+        Ok(())
+    }
+
+    fn empty(&self) -> u64 {
+        0
+    }
+
+    fn reset(&mut self, n: usize) {
         self.pending_real.clear();
         self.pending_real.resize(n, 0);
-        self.pending_dummy.clear();
-        self.pending_dummy.resize(n, 0);
-        Ok(())
     }
 
-    /// Sharded [`step`](DiscreteBalancer::step): the twin advances through
-    /// [`ContinuousRunner::step_sharded`], then each shard worker rounds and
-    /// sends over the edges whose **sender** lies in its node range, with
-    /// every rounding decision drawn from its own `(seed, round, edge)`
-    /// sub-RNG ([`edge_rounding_rng`]) — so the draws, and therefore the
-    /// trajectory, are **bit-identical** to the sequential step for every
-    /// shard count. Token/dummy deliveries and ledger deltas are additive
-    /// and applied from the per-shard outboxes afterwards.
-    ///
-    /// Steady-state calls on an unchanged topology do not allocate; after
-    /// [`replace_topology`](RandomizedImitation::replace_topology) the
-    /// executor rebinds on the next sharded step.
-    // lint: zero-alloc
-    pub fn step_sharded(&mut self, exec: &mut crate::shard::ShardedExecutor)
-    where
-        A: Sync,
-    {
-        exec.ensure_plan(&self.graph);
-        if exec.shard_count() == 1 {
-            self.step();
-            return;
-        }
-        self.twin.step_sharded(exec);
-
-        let seed = self.seed;
-        let round = self.round;
-        {
-            let continuous_flow = self.twin.cumulative_flows();
-            let discrete_flow = &self.discrete_flow[..];
-            let graph = &*self.graph;
-            let tokens = crate::shard::SharedSliceMut::new(&mut self.tokens);
-            let dummy = crate::shard::SharedSliceMut::new(&mut self.dummy);
-            let (pool, plan, scratch) = exec.split();
-            pool.run(|s| {
-                // SAFETY: scratch cell and node range belong to shard `s`
-                // alone; node ranges partition `0..n`.
-                let scratch = unsafe { &mut *scratch[s].get() };
-                scratch.alg2_out.clear();
-                scratch.dummy_created = 0;
-                let nodes = plan.node_range(s);
-                if nodes.is_empty() {
-                    return;
-                }
-                let lo = nodes.start;
-                let tokens_s = unsafe { tokens.range_mut(nodes.clone()) };
-                let dummy_s = unsafe { dummy.range_mut(nodes.clone()) };
-                let edges = graph.edges();
-                for &e in plan.incident(s) {
-                    let (u, v) = edges[e];
-                    let deficit = continuous_flow[e] - discrete_flow[e] as f64;
-                    if deficit == 0.0 {
-                        continue;
-                    }
-                    let (sender, receiver, magnitude, sign) = if deficit > 0.0 {
-                        (u, v, deficit, 1i64)
-                    } else {
-                        (v, u, -deficit, -1i64)
-                    };
-                    if !nodes.contains(&sender) {
-                        continue;
-                    }
-                    let floor = magnitude.floor();
-                    let fraction = magnitude - floor;
-                    let round_up = fraction > 0.0 && {
-                        use rand::Rng;
-                        edge_rounding_rng(seed, round, e).gen_bool(fraction.min(1.0))
-                    };
-                    let send = floor as u64 + u64::from(round_up);
-                    if send == 0 {
-                        continue;
-                    }
-                    let real = send.min(tokens_s[sender - lo]);
-                    tokens_s[sender - lo] -= real;
-                    let dummy_sent = send - real;
-                    let from_held = dummy_sent.min(dummy_s[sender - lo]);
-                    dummy_s[sender - lo] -= from_held;
-                    scratch.dummy_created += dummy_sent - from_held;
-                    scratch.alg2_out.push(crate::shard::Alg2Send {
-                        edge: e,
-                        receiver,
-                        real,
-                        dummy: dummy_sent,
-                        delta: sign * send as i64,
-                    });
-                }
-            });
-        }
-        // Apply phase: all effects are additive counts, so outbox order
-        // cannot be observed.
-        let mut dummy_created = 0;
-        for scratch in exec.shard_results() {
-            for send in &scratch.alg2_out {
-                self.tokens[send.receiver] += send.real;
-                self.dummy[send.receiver] += send.dummy;
-                self.discrete_flow[send.edge] += send.delta;
-            }
-            dummy_created += scratch.dummy_created;
-        }
-        self.dummy_created += dummy_created;
-        self.round += 1;
+    fn weight(tokens: &u64) -> u64 {
+        *tokens
     }
 
-    /// Federated [`step`](DiscreteBalancer::step): this engine instance owns
-    /// one contiguous node range of a larger simulation. The twin advances
-    /// through
-    /// [`ContinuousRunner::step_federated`](crate::continuous::ContinuousRunner::step_federated),
-    /// then this part rounds and sends over the edges whose **sender** it
-    /// owns, each decision drawn from its own `(seed, round, edge)` sub-RNG
-    /// ([`edge_rounding_rng`]) — so no RNG-stream coordination between
-    /// processes is needed and the owned slice of every state vector stays
-    /// **bit-identical** to the sequential engine's. Token deliveries and
-    /// ledger deltas for remote receivers travel in the outgoing
-    /// [`SendBatch`](crate::SendBatch); all effects are additive, so no merge
-    /// discipline is required.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Federation`] if an exchange fails or a peer sends
-    /// a malformed payload, and [`CoreError::InvalidParameter`] if the
-    /// underlying process does not support range-split kernels.
-    pub fn step_federated(
-        &mut self,
-        fed: &mut crate::federate::FederatedExecutor,
-        link: &mut dyn crate::federate::FederateLink,
-    ) -> Result<(), CoreError>
-    where
-        A: Sync,
-    {
-        fed.ensure_plan(&self.graph)?;
-        self.twin.step_federated(fed, link)?;
-
-        self.pending_real.fill(0);
-        self.pending_dummy.fill(0);
-        fed.batch.clear();
-
-        let seed = self.seed;
-        let round = self.round;
-        let edges = self.graph.edges();
-        for &e in fed.plan.incident() {
-            let (u, v) = edges[e];
-            let deficit = self.twin.cumulative_flows()[e] - self.discrete_flow[e] as f64;
-            if deficit == 0.0 {
-                continue;
-            }
-            let (sender, receiver, magnitude, sign) = if deficit > 0.0 {
-                (u, v, deficit, 1i64)
-            } else {
-                (v, u, -deficit, -1i64)
-            };
-            // Exactly one part owns the sender and processes this edge; the
-            // receiving part learns the flow delta from the send exchange.
-            if !fed.plan.owns_node(sender) {
-                continue;
-            }
-            let floor = magnitude.floor();
-            let fraction = magnitude - floor;
-            let round_up = fraction > 0.0 && {
-                use rand::Rng;
-                edge_rounding_rng(seed, round, e).gen_bool(fraction.min(1.0))
-            };
-            let send = floor as u64 + u64::from(round_up);
-            if send == 0 {
-                continue;
-            }
-            let real = send.min(self.tokens[sender]);
-            self.tokens[sender] -= real;
-            let dummy = send - real;
-            let from_held = dummy.min(self.dummy[sender]);
-            self.dummy[sender] -= from_held;
-            self.dummy_created += dummy - from_held;
-            let delta = sign * send as i64;
-            self.discrete_flow[e] += delta;
-            if fed.plan.owns_node(receiver) {
-                self.pending_real[receiver] += real;
-                self.pending_dummy[receiver] += dummy;
-            } else {
-                fed.batch.tokens.push((receiver, real, dummy));
-                fed.batch.deltas.push((e, delta));
-            }
-        }
-
-        let batches = link.exchange_sends(&fed.batch)?;
-        for i in 0..self.graph.node_count() {
-            self.tokens[i] += self.pending_real[i];
-            self.dummy[i] += self.pending_dummy[i];
-        }
-        for (rank, batch) in batches.iter().enumerate() {
-            if rank == fed.part() {
-                continue;
-            }
-            for &(receiver, real, dummy) in &batch.tokens {
-                if fed.plan.owns_node(receiver) {
-                    self.tokens[receiver] += real;
-                    self.dummy[receiver] += dummy;
-                }
-            }
-            // Crossing-edge flow deltas keep the receiving side's ledger in
-            // sync; entries for edges this part is not incident to land in
-            // stale slots that are never read.
-            for &(e, delta) in &batch.deltas {
-                let slot = self.discrete_flow.get_mut(e).ok_or_else(|| {
-                    CoreError::federation(format!("flow delta for unknown edge {e}"))
-                })?;
-                *slot += delta;
-            }
-        }
-        self.round += 1;
-        Ok(())
+    fn deliver(tokens: &mut u64, task: Task) {
+        *tokens += task.weight();
     }
 
-    /// Federated [`apply_events`](DynamicBalancer::apply_events): every part
-    /// sees the **full** event stream (scenario-derived, so no broadcast is
-    /// needed) but applies token and twin effects only for the nodes it
-    /// owns. Validation (node bounds, unit arrival weights) covers all
-    /// events so every part rejects a bad stream identically. The returned
-    /// report counts owned events only, so gathered partials sum to the
-    /// sequential report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if an event names a node
-    /// outside the graph or an arrival is not unit-weight.
-    pub fn apply_events_federated(
-        &mut self,
-        events: &RoundEvents,
-        fed: &mut crate::federate::FederatedExecutor,
-    ) -> Result<EventReport, CoreError> {
-        fed.ensure_plan(&self.graph)?;
-        let n = self.graph.node_count();
-        let mut report = EventReport::default();
-        for &(node, budget) in &events.completions {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "completion on node {node}, graph has {n} nodes"
-                )));
-            }
-            if !fed.plan.owns_node(node) {
-                continue;
-            }
-            let take = budget.min(self.tokens[node]);
-            self.tokens[node] -= take;
-            self.twin.adjust_load(node, -(take as f64));
-            report.completed_tasks += take;
-            report.completed_weight += take;
-        }
-        for &(node, task) in &events.arrivals {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "arrival on node {node}, graph has {n} nodes"
-                )));
-            }
-            if task.weight() != 1 {
-                return Err(CoreError::invalid_parameter(
-                    "randomized flow imitation (Algorithm 2) accepts unit-weight arrivals only",
-                ));
-            }
-            if !fed.plan.owns_node(node) {
-                continue;
-            }
-            self.tokens[node] += 1;
-            self.twin.adjust_load(node, 1.0);
-            report.arrived_tasks += 1;
-            report.arrived_weight += 1;
-        }
-        self.arrived_weight += report.arrived_weight;
-        self.completed_weight += report.completed_weight;
-        Ok(report)
-    }
-}
-
-impl<A: ContinuousProcess> DiscreteBalancer for RandomizedImitation<A> {
-    fn name(&self) -> &str {
-        &self.name
+    fn adopt(tokens: &mut u64, orphan: u64) {
+        *tokens += orphan;
     }
 
-    fn graph(&self) -> &Graph {
-        &self.graph
+    /// Tokens are interchangeable, so a budget simply drains up to that many
+    /// units.
+    fn complete(tokens: &mut u64, budget: u64, mut drained: impl FnMut(u64, u64)) {
+        let take = budget.min(*tokens);
+        *tokens -= take;
+        drained(take, take);
     }
 
-    fn speeds(&self) -> &Speeds {
-        &self.speeds
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn loads(&self) -> Vec<f64> {
-        self.tokens
-            .iter()
-            .zip(&self.dummy)
-            .map(|(&t, &d)| (t + d) as f64)
-            .collect()
-    }
-
-    fn dummy_load(&self) -> u64 {
-        self.dummy.iter().sum()
-    }
-
-    // lint: zero-alloc
-    fn step(&mut self) {
-        self.twin.step();
-
-        // Struct-owned delivery buffers: the steady-state round touches no
-        // heap. The twin's cumulative flows are read in place (the seed code
-        // copied them to a fresh Vec every round).
-        let n = self.graph.node_count();
-        self.pending_real.fill(0);
-        self.pending_dummy.fill(0);
-
-        for (e, &(u, v)) in self.graph.edges().iter().enumerate() {
-            let deficit = self.twin.cumulative_flows()[e] - self.discrete_flow[e] as f64;
-            if deficit == 0.0 {
-                continue;
-            }
-            let (sender, receiver, magnitude, sign) = if deficit > 0.0 {
-                (u, v, deficit, 1i64)
-            } else {
-                (v, u, -deficit, -1i64)
-            };
-            let floor = magnitude.floor();
-            let fraction = magnitude - floor;
-            let round_up = fraction > 0.0 && {
-                use rand::Rng;
-                edge_rounding_rng(self.seed, self.round, e).gen_bool(fraction.min(1.0))
-            };
-            let send = floor as u64 + u64::from(round_up);
-            if send == 0 {
-                continue;
-            }
-            // Inlined `draw` (a method call would conflict with the live
-            // borrow of the edge list): prefer real tokens, then held
-            // dummies, then the infinite source.
-            let real = send.min(self.tokens[sender]);
-            self.tokens[sender] -= real;
-            let dummy = send - real;
-            let from_held = dummy.min(self.dummy[sender]);
-            self.dummy[sender] -= from_held;
-            self.dummy_created += dummy - from_held;
-            self.pending_real[receiver] += real;
-            self.pending_dummy[receiver] += dummy;
-            self.discrete_flow[e] += sign * send as i64;
-        }
-
-        for i in 0..n {
-            self.tokens[i] += self.pending_real[i];
-            self.dummy[i] += self.pending_dummy[i];
-        }
-        self.round += 1;
-    }
-}
-
-impl<A: ContinuousProcess> DynamicBalancer for RandomizedImitation<A> {
-    fn apply_events(&mut self, events: &RoundEvents) -> Result<EventReport, CoreError> {
-        let n = self.graph.node_count();
-        let mut report = EventReport::default();
-        // Completions first; tokens are interchangeable, so a budget simply
-        // drains up to that many units.
-        for &(node, budget) in &events.completions {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "completion on node {node}, graph has {n} nodes"
-                )));
-            }
-            let take = budget.min(self.tokens[node]);
-            self.tokens[node] -= take;
-            self.twin.adjust_load(node, -(take as f64));
-            report.completed_tasks += take;
-            report.completed_weight += take;
-        }
-        // Arrivals must be unit-weight: Algorithm 2 is defined for identical
-        // tasks only.
-        for &(node, task) in &events.arrivals {
-            if node >= n {
-                return Err(CoreError::invalid_parameter(format!(
-                    "arrival on node {node}, graph has {n} nodes"
-                )));
-            }
-            if task.weight() != 1 {
-                return Err(CoreError::invalid_parameter(
-                    "randomized flow imitation (Algorithm 2) accepts unit-weight arrivals only",
-                ));
-            }
-            self.tokens[node] += 1;
-            self.twin.adjust_load(node, 1.0);
-            report.arrived_tasks += 1;
-            report.arrived_weight += 1;
-        }
-        self.arrived_weight += report.arrived_weight;
-        self.completed_weight += report.completed_weight;
-        Ok(report)
-    }
-
-    fn completed_weight(&self) -> u64 {
-        self.completed_weight
-    }
-
-    fn arrived_weight(&self) -> u64 {
-        self.arrived_weight
+    fn tokens(tokens: &mut [u64]) -> &mut [u64] {
+        tokens
     }
 }
 
@@ -722,8 +289,9 @@ impl<A: ContinuousProcess> DynamicBalancer for RandomizedImitation<A> {
 mod tests {
     use super::*;
     use crate::continuous::{DimensionExchange, Fos, RandomMatching};
+    use crate::discrete::DiscreteBalancer;
     use crate::metrics;
-    use lb_graph::{generators, AlphaScheme};
+    use lb_graph::{generators, AlphaScheme, Graph};
 
     fn fos_on(graph: Graph, speeds: &Speeds) -> Fos {
         Fos::new(graph, speeds, AlphaScheme::MaxDegreePlusOne).unwrap()

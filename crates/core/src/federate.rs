@@ -3,8 +3,9 @@
 //! In-process sharding ([`crate::shard`]) splits a round across threads that
 //! share one address space. Federation splits the *same* round across OS
 //! processes that share nothing: each **part** owns a contiguous node range
-//! (the same edge-balanced planner as the shard plan), runs its partition of
-//! the discrete engine plus continuous twin, and exchanges exactly three
+//! (the same edge-balanced planner as the shard plan), runs the engine's one
+//! per-edge kernel — the loop the sequential and sharded steps also call —
+//! over the edges incident to that range, and exchanges exactly three
 //! payloads per round over a [`FederateLink`]:
 //!
 //! 1. **boundary loads** — after events, before the twin kernel: every part
@@ -13,10 +14,12 @@
 //! 2. **crossing flows** — after the kernel: every part publishes the flows
 //!    it computed for its own edges whose higher endpoint is remote, so the
 //!    neighbouring part can apply them to its node loads and ledgers;
-//! 3. **sends** — after the discrete scan: cross-partition task deliveries,
-//!    dummy transfers, token moves and discrete-flow ledger deltas, merged by
-//!    the receiver in global edge order (the same k-way merge discipline as
-//!    `lb-core::ingest::merge` and the shard outboxes).
+//! 3. **sends** — after the discrete scan: the kernel's sink keeps effects
+//!    on this part's own receivers local and routes the rest — task
+//!    deliveries, dummy transfers, token moves, discrete-flow ledger deltas
+//!    — into the outgoing [`SendBatch`]; receivers merge task deliveries in
+//!    global edge order through the same edge-order merge that drains the
+//!    shard outboxes.
 //!
 //! # Determinism contract
 //!
@@ -42,8 +45,9 @@ use std::sync::Arc;
 
 use lb_graph::{EdgeId, Graph, NodeId};
 
+use crate::discrete::{Forwarded, Held, Outbox, Rule};
 use crate::error::CoreError;
-use crate::shard::{edge_balanced_bounds, ShardPool};
+use crate::shard::{apply_batches, Chunks, ShardPool};
 use crate::task::Task;
 
 /// The contiguous node-range partition of one graph across `parts`
@@ -60,10 +64,8 @@ use crate::task::Task;
 #[derive(Debug, Clone)]
 pub struct FederationPlan {
     part: usize,
-    /// Node range starts, length `parts + 1`.
-    node_bounds: Vec<usize>,
-    /// Canonical edge range starts, length `parts + 1`.
-    edge_bounds: Vec<usize>,
+    /// The node/edge ranges of every part.
+    parts: Chunks,
     /// Own nodes with at least one remote neighbour, ascending.
     boundary: Vec<NodeId>,
     /// Own edges whose higher endpoint is remote, ascending.
@@ -81,6 +83,37 @@ impl FederationPlan {
     /// Returns [`CoreError::InvalidParameter`] when `parts` is zero or
     /// `part` is out of range.
     pub fn new(graph: &Graph, part: usize, parts: usize) -> Result<Self, CoreError> {
+        let mut plan = FederationPlan::unbound(part, parts)?;
+        plan.parts = Chunks::build(graph, 0..graph.node_count(), parts);
+        let own = plan.node_range();
+        let mut boundary_mark = vec![false; own.len()];
+        for (e, &(u, v)) in graph.edges().iter().enumerate() {
+            let u_own = own.contains(&u);
+            let v_own = own.contains(&v);
+            if !u_own && !v_own {
+                continue;
+            }
+            plan.incident.push(e);
+            if u_own != v_own {
+                if u_own {
+                    boundary_mark[u - own.start] = true;
+                    plan.crossing.push(e);
+                } else {
+                    boundary_mark[v - own.start] = true;
+                }
+            }
+        }
+        plan.boundary = boundary_mark
+            .iter()
+            .enumerate()
+            .filter(|&(_, &marked)| marked)
+            .map(|(i, _)| own.start + i)
+            .collect();
+        Ok(plan)
+    }
+
+    /// A validated plan not yet bound to a graph: empty ranges.
+    fn unbound(part: usize, parts: usize) -> Result<Self, CoreError> {
         if parts == 0 {
             return Err(CoreError::invalid_parameter(
                 "federation needs at least one part",
@@ -91,40 +124,12 @@ impl FederationPlan {
                 "federation rank {part} is out of range for {parts} part(s)"
             )));
         }
-        let (node_bounds, edge_bounds) = edge_balanced_bounds(parts, graph);
-        let own = node_bounds[part]..node_bounds[part + 1];
-        let mut boundary_mark = vec![false; own.len()];
-        let mut crossing = Vec::new();
-        let mut incident = Vec::new();
-        for (e, &(u, v)) in graph.edges().iter().enumerate() {
-            let u_own = own.contains(&u);
-            let v_own = own.contains(&v);
-            if !u_own && !v_own {
-                continue;
-            }
-            incident.push(e);
-            if u_own != v_own {
-                if u_own {
-                    boundary_mark[u - own.start] = true;
-                    crossing.push(e);
-                } else {
-                    boundary_mark[v - own.start] = true;
-                }
-            }
-        }
-        let boundary = boundary_mark
-            .iter()
-            .enumerate()
-            .filter(|&(_, &marked)| marked)
-            .map(|(i, _)| own.start + i)
-            .collect();
         Ok(FederationPlan {
             part,
-            node_bounds,
-            edge_bounds,
-            boundary,
-            crossing,
-            incident,
+            parts: Chunks::empty(parts),
+            boundary: Vec::new(),
+            crossing: Vec::new(),
+            incident: Vec::new(),
         })
     }
 
@@ -135,7 +140,7 @@ impl FederationPlan {
 
     /// Total number of parts.
     pub fn parts(&self) -> usize {
-        self.node_bounds.len() - 1
+        self.parts.count()
     }
 
     /// The node range owned by this part.
@@ -150,12 +155,12 @@ impl FederationPlan {
 
     /// The node range owned by part `p` (for assemblers).
     pub fn node_range_of(&self, p: usize) -> Range<usize> {
-        self.node_bounds[p]..self.node_bounds[p + 1]
+        self.parts.node_range(p)
     }
 
     /// The canonical edge range owned by part `p` (for assemblers).
     pub fn edge_range_of(&self, p: usize) -> Range<usize> {
-        self.edge_bounds[p]..self.edge_bounds[p + 1]
+        self.parts.edge_range(p)
     }
 
     /// Whether this part owns `node`.
@@ -181,7 +186,8 @@ impl FederationPlan {
 
 /// One round's cross-partition effects produced by one part: task
 /// deliveries, dummy transfers, Algorithm 2 token moves and discrete-flow
-/// ledger deltas for crossing edges.
+/// ledger deltas for crossing edges. A shard's outbox is a `SendBatch` too,
+/// holding every effect of the edges the shard forwarded.
 ///
 /// `tasks` is ascending by edge id (the incident scan is ascending);
 /// receivers merge batches by edge id, which reproduces the sequential
@@ -267,15 +273,14 @@ pub trait FederateLink {
 /// Like [`ShardedExecutor`](crate::ShardedExecutor), the executor rebinds to
 /// whatever graph the engine currently runs on (checked by `Arc` identity),
 /// so topology churn triggers a plan rebuild on the next federated step.
-/// Intra-part `shards` parallelise the continuous kernel (Phase A) only —
-/// any chunking of the owned edge range is bit-identical because per-edge
-/// flow computation is independent.
+/// Intra-part `shards` parallelise the continuous twin only — any chunking
+/// of the owned range is bit-identical because per-edge flow computation is
+/// independent and every load entry is applied in its own CSR order.
 pub struct FederatedExecutor {
     pub(crate) plan: FederationPlan,
     pub(crate) pool: ShardPool,
-    shards: usize,
-    part: usize,
-    parts: usize,
+    /// The owned node range split into the intra-part twin chunks.
+    pub(crate) chunks: Chunks,
     graph: Option<Arc<Graph>>,
     /// Scratch: boundary loads published this round.
     pub(crate) loads_out: Vec<(NodeId, u64)>,
@@ -283,8 +288,8 @@ pub struct FederatedExecutor {
     pub(crate) flows_out: Vec<(EdgeId, u64, u64)>,
     /// Scratch: this part's outgoing cross-partition effects.
     pub(crate) batch: SendBatch,
-    /// Scratch: this part's local (own-receiver) deliveries, edge-tagged.
-    pub(crate) local: Vec<(EdgeId, NodeId, Task)>,
+    /// Scratch: this part's effects on its own receivers.
+    local: SendBatch,
     /// Reusable cursors for the delivery merge.
     cursors: Vec<usize>,
 }
@@ -298,52 +303,33 @@ impl FederatedExecutor {
     /// Returns [`CoreError::InvalidParameter`] when `parts` is zero or
     /// `part` is out of range.
     pub fn new(part: usize, parts: usize, shards: usize) -> Result<Self, CoreError> {
-        if parts == 0 {
-            return Err(CoreError::invalid_parameter(
-                "federation needs at least one part",
-            ));
-        }
-        if part >= parts {
-            return Err(CoreError::invalid_parameter(format!(
-                "federation rank {part} is out of range for {parts} part(s)"
-            )));
-        }
         let shards = shards.max(1);
         Ok(FederatedExecutor {
-            plan: FederationPlan {
-                part,
-                node_bounds: vec![0; parts + 1],
-                edge_bounds: vec![0; parts + 1],
-                boundary: Vec::new(),
-                crossing: Vec::new(),
-                incident: Vec::new(),
-            },
+            plan: FederationPlan::unbound(part, parts)?,
             pool: ShardPool::new(shards - 1),
-            shards,
-            part,
-            parts,
+            chunks: Chunks::empty(shards),
             graph: None,
             loads_out: Vec::new(),
             flows_out: Vec::new(),
             batch: SendBatch::default(),
-            local: Vec::new(),
+            local: SendBatch::default(),
             cursors: vec![0; parts + 1],
         })
     }
 
     /// This part's rank.
     pub fn part(&self) -> usize {
-        self.part
+        self.plan.part
     }
 
     /// Total number of parts.
     pub fn parts(&self) -> usize {
-        self.parts
+        self.plan.parts()
     }
 
     /// Intra-part kernel shard count.
     pub fn shard_count(&self) -> usize {
-        self.shards
+        self.chunks.count()
     }
 
     /// The current partition plan.
@@ -357,79 +343,65 @@ impl FederatedExecutor {
         if self.graph.as_ref().is_some_and(|g| Arc::ptr_eq(g, graph)) {
             return Ok(());
         }
-        self.plan = FederationPlan::new(graph, self.part, self.parts)?;
+        self.plan = FederationPlan::new(graph, self.part(), self.parts())?;
+        self.chunks = Chunks::build(graph, self.plan.node_range(), self.shard_count());
         self.loads_out = Vec::with_capacity(self.plan.boundary.len());
         self.flows_out = Vec::with_capacity(self.plan.crossing.len());
         self.graph = Some(Arc::clone(graph));
         Ok(())
     }
 
-    /// The owned edge range split into `shards` contiguous chunks: chunk `c`
-    /// of the Phase A kernel fan-out.
-    pub(crate) fn kernel_chunk(&self, c: usize) -> Range<usize> {
-        let range = self.plan.edge_range();
-        let len = range.end - range.start;
-        let start = range.start + len * c / self.shards;
-        let end = range.start + len * (c + 1) / self.shards;
-        start..end
+    /// Runs the discrete kernel once over this part: its incident edges, its
+    /// node range of `items`/`dummy`, and an outbox that keeps own
+    /// receivers' effects local and routes foreign ones into the outgoing
+    /// [`SendBatch`].
+    // lint: zero-alloc
+    pub(crate) fn forward<Q>(
+        &mut self,
+        items: &mut [Q],
+        dummy: &mut [u64],
+        kernel: impl FnOnce(&[EdgeId], Held<'_, Q>, &mut Outbox<'_>) -> Forwarded,
+    ) -> Forwarded {
+        self.local.clear();
+        self.batch.clear();
+        let owned = self.plan.node_range();
+        let held = Held::new(
+            owned.start,
+            &mut items[owned.clone()],
+            &mut dummy[owned.clone()],
+        );
+        let mut out = Outbox::new(&mut self.local).routing(owned, &mut self.batch);
+        kernel(&self.plan.incident, held, &mut out)
     }
 
-    /// Merges this part's local deliveries with every foreign batch in
-    /// **global edge order**, calling `deliver(receiver, task)` exactly as
-    /// the sequential engine would have pushed its pending deliveries.
-    /// Foreign entries whose receiver this part does not own are skipped
-    /// (batches are broadcast to everyone).
-    pub(crate) fn merge_deliveries(
+    /// The apply phase: drains this part's local batch and every part's
+    /// exchanged batch (`batches`, in rank order, own included) through
+    /// [`apply_batches`]. Batches are broadcast, so entries addressed to
+    /// other parts' receivers are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Federation`] when a peer's batch is malformed.
+    // lint: zero-alloc
+    pub(crate) fn apply<R: Rule>(
         &mut self,
         batches: &[SendBatch],
-        mut deliver: impl FnMut(NodeId, Task),
-    ) {
-        // Sequence `parts` is the local buffer; sequence `r < parts` is the
-        // foreign batch from rank r (own rank's batch holds only foreign
-        // receivers and is skipped wholesale via the ownership filter).
-        self.cursors.fill(0);
-        loop {
-            let mut best: Option<(EdgeId, usize)> = None;
-            #[allow(clippy::needless_range_loop)] // seq indexes two sequences, not one
-            for seq in 0..=self.parts {
-                let entries: &[(EdgeId, NodeId, Task)] = if seq == self.parts {
-                    &self.local
-                } else {
-                    &batches[seq].tasks
-                };
-                // Skip foreign entries addressed to other parts.
-                if seq != self.parts {
-                    while let Some(&(_, receiver, _)) = entries.get(self.cursors[seq]) {
-                        if self.plan.owns_node(receiver) {
-                            break;
-                        }
-                        self.cursors[seq] += 1;
-                    }
-                }
-                if let Some(&(edge, _, _)) = entries.get(self.cursors[seq]) {
-                    if best.is_none_or(|(e, _)| edge < e) {
-                        best = Some((edge, seq));
-                    }
-                }
-            }
-            let Some((_, seq)) = best else { break };
-            let (_, receiver, task) = if seq == self.parts {
-                self.local[self.cursors[seq]]
-            } else {
-                batches[seq].tasks[self.cursors[seq]]
-            };
-            self.cursors[seq] += 1;
-            deliver(receiver, task);
-        }
+        items: &mut [R::Item],
+        dummy: &mut [u64],
+        ledger: &mut [i64],
+    ) -> Result<(), CoreError> {
+        let (parts, local, owned) = (self.parts(), &self.local, self.plan.node_range());
+        let batch = |i: usize| if i == parts { local } else { &batches[i] };
+        apply_batches::<R>(&mut self.cursors, batch, owned, items, dummy, ledger)
     }
 }
 
 impl std::fmt::Debug for FederatedExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FederatedExecutor")
-            .field("part", &self.part)
-            .field("parts", &self.parts)
-            .field("shards", &self.shards)
+            .field("part", &self.part())
+            .field("parts", &self.parts())
+            .field("shards", &self.shard_count())
             .finish()
     }
 }
@@ -824,6 +796,29 @@ mod tests {
         FlowImitation::new(fos, &initial, speeds, TaskPicker::Fifo).unwrap()
     }
 
+    /// Mixed task weights 1..=3 under a heap picker: delivery order into a
+    /// heap queue sets its tie-breaking sequence numbers, so this pins the
+    /// cross-part merge order, not just the delivered multiset.
+    fn alg1_fos_weighted(picker: TaskPicker) -> FlowImitation<Fos> {
+        let g = torus_graph();
+        let speeds = Speeds::uniform(16);
+        let mut id = 0u64;
+        let tasks = (0..16u64)
+            .map(|node| {
+                let count = if node == 0 { 48 } else { node % 4 };
+                (0..count)
+                    .map(|k| {
+                        id += 1;
+                        Task::new(TaskId(id), (k + node) % 3 + 1)
+                    })
+                    .collect()
+            })
+            .collect();
+        let initial = InitialLoad::from_tasks(tasks);
+        let fos = Fos::new(g, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        FlowImitation::new(fos, &initial, speeds, picker).unwrap()
+    }
+
     fn alg1_sos() -> FlowImitation<Sos> {
         let g = torus_graph();
         let speeds = Speeds::uniform(16);
@@ -854,6 +849,15 @@ mod tests {
             assert_federated_equivalence(alg1_fos, parts, 1);
         }
         assert_federated_equivalence(alg1_fos, 2, 2);
+    }
+
+    #[test]
+    fn alg1_heap_pickers_with_weighted_tasks_match_sequential_across_parts() {
+        for picker in [TaskPicker::LargestFirst, TaskPicker::SmallestFirst] {
+            for parts in [2, 3] {
+                assert_federated_equivalence(|| alg1_fos_weighted(picker), parts, 1);
+            }
+        }
     }
 
     #[test]

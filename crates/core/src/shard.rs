@@ -7,14 +7,20 @@
 //! splits with it (edges are sorted by lower endpoint, so each shard owns a
 //! contiguous edge range), and every round runs as a two-phase protocol:
 //!
-//! 1. **Compute (parallel)** — each shard worker processes the edges it is
-//!    responsible for, mutating only *its own* node state (queues, token
-//!    counts, load entries) and appending cross-shard effects (task
-//!    deliveries, dummy transfers, flow-ledger deltas) to per-shard
-//!    *outboxes*;
+//! 1. **Compute (parallel)** — each shard worker runs the engine's one
+//!    per-edge kernel (the same loop the sequential step and a federated
+//!    part call) over the edges incident to its node range, mutating only
+//!    *its own* node state (queues, token counts, load entries). Its sink is
+//!    the shard's *outbox*, a [`SendBatch`] collecting task deliveries,
+//!    dummy transfers, token moves and flow-ledger deltas;
 //! 2. **Apply (sequential)** — the outboxes are drained in a deterministic
-//!    order (task deliveries in global edge order, everything else is
-//!    additive), reproducing the exact state the sequential engine builds.
+//!    order (task deliveries through the one edge-order merge, everything
+//!    else is additive), reproducing the exact state the sequential engine
+//!    builds.
+//!
+//! The continuous twin splits the same way: its range kernel runs over each
+//! shard's edge range, then each shard applies the flows to its own node
+//! loads in CSR order.
 //!
 //! # Determinism contract
 //!
@@ -38,26 +44,98 @@
 //! this with shards > 1.
 
 use lb_graph::{EdgeId, Graph, NodeId};
-use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use crate::task::Task;
+use crate::discrete::{Forwarded, Held, Outbox, Rule};
+use crate::error::CoreError;
+use crate::federate::SendBatch;
 
-/// Contiguous node-range sharding of one graph: which nodes, canonical
-/// edges and incident edges each shard is responsible for.
+/// An edge-balanced split of one contiguous node range into `count`
+/// contiguous chunks, plus the matching canonical edge ranges (edges are
+/// grouped by lower endpoint, so a chunk's nodes own a contiguous edge
+/// range). The shard plan splits `0..n` into shards, the federation plan
+/// splits `0..n` into parts, and a federated part splits its own range into
+/// its intra-part kernel chunks — all with this one planner.
 ///
-/// Shard boundaries are chosen so canonical edge counts balance (the edge
-/// loops dominate a round); shards may be empty when `n < S`.
+/// Cuts balance canonical edge counts (the edge loops dominate a round);
+/// chunks may be empty when the range has fewer nodes than chunks.
+#[derive(Debug, Clone)]
+pub(crate) struct Chunks {
+    /// Node range starts, length `count + 1`.
+    node_bounds: Vec<usize>,
+    /// Canonical edge range starts, length `count + 1`.
+    edge_bounds: Vec<usize>,
+}
+
+impl Chunks {
+    /// `count` empty chunks (no graph bound yet).
+    pub(crate) fn empty(count: usize) -> Self {
+        Chunks {
+            node_bounds: vec![0; count + 1],
+            edge_bounds: vec![0; count + 1],
+        }
+    }
+
+    /// Splits `part` of `graph` into `count` edge-balanced chunks.
+    pub(crate) fn build(graph: &Graph, part: Range<NodeId>, count: usize) -> Self {
+        let edges = graph.edges();
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "canonical order");
+        let first = edges.partition_point(|&(u, _)| u < part.start);
+        let last = edges.partition_point(|&(u, _)| u < part.end);
+        let mut node_bounds = Vec::with_capacity(count + 1);
+        node_bounds.push(part.start);
+        for c in 1..count {
+            // Aim for an equal share of the range's canonical edges per
+            // prefix, then snap the cut to a node boundary so each node's
+            // canonical edges stay together.
+            let target = first + (last - first) * c / count;
+            let node = if target >= last {
+                part.end
+            } else {
+                edges[target].0
+            };
+            node_bounds.push(node.max(node_bounds[c - 1]));
+        }
+        node_bounds.push(part.end);
+        let edge_bounds = node_bounds
+            .iter()
+            .map(|&node| edges.partition_point(|&(u, _)| u < node))
+            .collect();
+        Chunks {
+            node_bounds,
+            edge_bounds,
+        }
+    }
+
+    /// Number of chunks (some possibly empty).
+    pub(crate) fn count(&self) -> usize {
+        self.node_bounds.len() - 1
+    }
+
+    /// The whole node range the chunks split.
+    pub(crate) fn nodes(&self) -> Range<usize> {
+        self.node_bounds[0]..self.node_bounds[self.count()]
+    }
+
+    /// The node range of chunk `c`.
+    pub(crate) fn node_range(&self, c: usize) -> Range<usize> {
+        self.node_bounds[c]..self.node_bounds[c + 1]
+    }
+
+    /// The canonical edge range of chunk `c`.
+    pub(crate) fn edge_range(&self, c: usize) -> Range<usize> {
+        self.edge_bounds[c]..self.edge_bounds[c + 1]
+    }
+}
+
+/// Contiguous node-range sharding of one graph: the shard chunks, plus the
+/// edges incident to each shard (the discrete kernel's edge lists).
 #[derive(Debug, Clone)]
 pub(crate) struct ShardPlan {
-    /// Node range starts, length `S + 1`.
-    node_bounds: Vec<usize>,
-    /// Canonical edge range starts (edges grouped by lower endpoint),
-    /// length `S + 1`.
-    edge_bounds: Vec<usize>,
+    pub(crate) chunks: Chunks,
     /// Per shard: every edge with at least one endpoint in the shard's node
     /// range, ascending by edge id.
     incident: Vec<Vec<EdgeId>>,
@@ -67,28 +145,22 @@ impl ShardPlan {
     /// An empty placeholder plan (no graph bound yet).
     fn empty(shards: usize) -> Self {
         ShardPlan {
-            node_bounds: vec![0; shards + 1],
-            edge_bounds: vec![0; shards + 1],
+            chunks: Chunks::empty(shards),
             incident: vec![Vec::new(); shards],
         }
     }
 
     /// Builds the plan for `graph` with exactly `shards` shards.
     fn build(shards: usize, graph: &Graph) -> Self {
-        let n = graph.node_count();
-        let edges = graph.edges();
-        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "canonical order");
-
-        let (node_bounds, edge_bounds) = edge_balanced_bounds(shards, graph);
-
-        let mut shard_of = vec![0u32; n];
+        let chunks = Chunks::build(graph, 0..graph.node_count(), shards);
+        let mut shard_of = vec![0u32; graph.node_count()];
         for s in 0..shards {
-            for slot in &mut shard_of[node_bounds[s]..node_bounds[s + 1]] {
+            for slot in &mut shard_of[chunks.node_range(s)] {
                 *slot = s as u32;
             }
         }
         let mut incident = vec![Vec::new(); shards];
-        for (e, &(u, v)) in edges.iter().enumerate() {
+        for (e, &(u, v)) in graph.edges().iter().enumerate() {
             let su = shard_of[u] as usize;
             let sv = shard_of[v] as usize;
             incident[su].push(e);
@@ -96,28 +168,24 @@ impl ShardPlan {
                 incident[sv].push(e);
             }
         }
-
-        ShardPlan {
-            node_bounds,
-            edge_bounds,
-            incident,
-        }
+        ShardPlan { chunks, incident }
     }
 
     /// Number of shards (some possibly empty).
     #[cfg(test)]
     fn shard_count(&self) -> usize {
-        self.incident.len()
+        self.chunks.count()
     }
 
     /// The node range owned by shard `s`.
     pub(crate) fn node_range(&self, s: usize) -> Range<usize> {
-        self.node_bounds[s]..self.node_bounds[s + 1]
+        self.chunks.node_range(s)
     }
 
     /// The canonical edge range owned by shard `s`.
-    pub(crate) fn edge_range(&self, s: usize) -> Range<usize> {
-        self.edge_bounds[s]..self.edge_bounds[s + 1]
+    #[cfg(test)]
+    fn edge_range(&self, s: usize) -> Range<usize> {
+        self.chunks.edge_range(s)
     }
 
     /// Edges incident to shard `s`, ascending by edge id.
@@ -126,49 +194,23 @@ impl ShardPlan {
     }
 }
 
-/// The edge-balanced contiguous node partition shared by [`ShardPlan`] and
-/// the federation planner: node-range starts (length `parts + 1`) chosen so
-/// canonical edge counts balance across parts, plus the matching canonical
-/// edge-range starts (edges grouped by lower endpoint).
-pub(crate) fn edge_balanced_bounds(parts: usize, graph: &Graph) -> (Vec<usize>, Vec<usize>) {
-    let n = graph.node_count();
-    let m = graph.edge_count();
-    let edges = graph.edges();
-
-    let mut node_bounds = Vec::with_capacity(parts + 1);
-    node_bounds.push(0);
-    for s in 1..parts {
-        // Aim for m·s/P canonical edges per prefix, then snap the cut to
-        // a node boundary so each node's canonical edges stay together.
-        let target = m * s / parts;
-        let node = if target >= m { n } else { edges[target].0 };
-        node_bounds.push(node.max(node_bounds[s - 1]));
-    }
-    node_bounds.push(n);
-
-    let mut edge_bounds = Vec::with_capacity(parts + 1);
-    for &node in &node_bounds {
-        edge_bounds.push(edges.partition_point(|&(u, _)| u < node));
-    }
-    (node_bounds, edge_bounds)
-}
-
 /// A raw shared-mutable view of a slice, for handing **disjoint** ranges to
 /// shard workers.
 ///
-/// Every access goes through [`range_mut`](SharedSliceMut::range_mut), whose
-/// safety contract is that concurrently handed-out ranges never overlap; the
-/// shard plan's node/edge ranges partition their index spaces, which is what
-/// every caller in this crate relies on.
+/// Every access goes through [`range_mut`](SharedSliceMut::range_mut) or
+/// [`get_mut`](SharedSliceMut::get_mut), whose safety contract is that
+/// concurrently handed-out views never overlap; the shard plan's node/edge
+/// ranges partition their index spaces, which is what every caller in this
+/// crate relies on.
 pub(crate) struct SharedSliceMut<'a, T> {
     ptr: *mut T,
     len: usize,
     _marker: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: the wrapper only ever yields disjoint subslices (the caller
-// contract of `range_mut`), so sending/sharing it across the pool's scoped
-// workers is no more dangerous than `slice::split_at_mut`.
+// SAFETY: the wrapper only ever yields disjoint views (the caller contract
+// of `range_mut` and `get_mut`), so sending/sharing it across the pool's
+// scoped workers is no more dangerous than `slice::split_at_mut`.
 unsafe impl<T: Send> Send for SharedSliceMut<'_, T> {}
 unsafe impl<T: Send> Sync for SharedSliceMut<'_, T> {}
 
@@ -192,23 +234,19 @@ impl<'a, T> SharedSliceMut<'a, T> {
         debug_assert!(range.start <= range.end && range.end <= self.len);
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
     }
-}
 
-/// An `UnsafeCell` that may be shared across the pool's workers; each worker
-/// only touches the cell matching its shard index.
-pub(crate) struct SyncCell<T>(UnsafeCell<T>);
-
-// SAFETY: access discipline is per-shard-index (enforced by every call
-// site); no two threads touch the same cell during a parallel phase.
-unsafe impl<T: Send> Sync for SyncCell<T> {}
-
-impl<T> SyncCell<T> {
-    fn new(value: T) -> Self {
-        SyncCell(UnsafeCell::new(value))
-    }
-
-    pub(crate) fn get(&self) -> *mut T {
-        self.0.get()
+    /// A mutable view of element `i`, under the same contract as
+    /// [`range_mut`](SharedSliceMut::range_mut).
+    ///
+    /// # Safety
+    ///
+    /// No other live view (across all threads) may cover `i`, and `i` must
+    /// lie within the original slice.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn get_mut(&self, i: usize) -> &mut T {
+        debug_assert!(i < self.len);
+        // SAFETY: in bounds and unaliased by the caller's contract.
+        unsafe { &mut *self.ptr.add(i) }
     }
 }
 
@@ -363,52 +401,16 @@ impl Drop for ShardPool {
     }
 }
 
-/// One entry of Algorithm 2's per-shard outbox: everything a processed edge
-/// contributes to cross-shard state.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Alg2Send {
-    pub(crate) edge: EdgeId,
-    pub(crate) receiver: NodeId,
-    pub(crate) real: u64,
-    pub(crate) dummy: u64,
-    /// Signed delta for the discrete-flow ledger of `edge`.
-    pub(crate) delta: i64,
-}
-
-/// Per-shard scratch: the outboxes a compute phase fills and the apply phase
-/// drains, plus per-shard counter partials. All buffers are pre-sized when
-/// the plan is built, so steady-state rounds never allocate (the task outbox
-/// warms up like the sequential engine's delivery buffer does).
+/// Per-shard scratch: the outbox a compute phase fills and the apply phase
+/// drains, plus the shard's counter partials. Outbox buffers are pre-sized
+/// when the plan is built, so steady-state rounds never allocate (the task
+/// list warms up like the sequential engine's delivery buffer does).
 pub(crate) struct ShardScratch {
-    /// Algorithm 1: real-task deliveries `(edge, receiver, task)`, ascending
-    /// by edge id (the incident list is sorted).
-    pub(crate) task_out: Vec<(EdgeId, NodeId, Task)>,
-    /// Algorithm 1: dummy deliveries `(receiver, amount)`, one per edge.
-    pub(crate) dummy_out: Vec<(NodeId, u64)>,
-    /// Algorithm 1: discrete-flow ledger deltas `(edge, delta)`.
-    pub(crate) flow_out: Vec<(EdgeId, i64)>,
-    /// Algorithm 2: per-edge send records.
-    pub(crate) alg2_out: Vec<Alg2Send>,
-    /// Items (tasks + dummy units) this shard moved this round.
-    pub(crate) items_sent: u64,
-    /// Dummy units this shard drew from the infinite source this round.
-    pub(crate) dummy_created: u64,
-    /// Minimum load over this shard's nodes after the twin's apply phase.
-    pub(crate) min_load: f64,
-}
-
-impl ShardScratch {
-    fn new() -> Self {
-        ShardScratch {
-            task_out: Vec::new(),
-            dummy_out: Vec::new(),
-            flow_out: Vec::new(),
-            alg2_out: Vec::new(),
-            items_sent: 0,
-            dummy_created: 0,
-            min_load: f64::INFINITY,
-        }
-    }
+    /// Every effect of the edges this shard forwarded; task deliveries are
+    /// ascending by edge id (the incident list is sorted).
+    pub(crate) out: SendBatch,
+    /// Items moved and dummies created by this shard this round.
+    pub(crate) sent: Forwarded,
 }
 
 /// Drives sharded rounds for one engine: the persistent worker pool, the
@@ -443,7 +445,7 @@ impl ShardScratch {
 pub struct ShardedExecutor {
     pool: ShardPool,
     plan: ShardPlan,
-    scratch: Vec<SyncCell<ShardScratch>>,
+    scratch: Vec<ShardScratch>,
     /// Reusable cursors for the k-way merge of task outboxes.
     merge_cursor: Vec<usize>,
     /// The graph the current plan was built for.
@@ -459,7 +461,10 @@ impl ShardedExecutor {
             pool: ShardPool::new(shards - 1),
             plan: ShardPlan::empty(shards),
             scratch: (0..shards)
-                .map(|_| SyncCell::new(ShardScratch::new()))
+                .map(|_| ShardScratch {
+                    out: SendBatch::default(),
+                    sent: Forwarded::default(),
+                })
                 .collect(),
             merge_cursor: vec![0; shards],
             graph: None,
@@ -487,55 +492,148 @@ impl ShardedExecutor {
             return;
         }
         self.plan = ShardPlan::build(self.shard_count(), graph);
-        for s in 0..self.shard_count() {
+        for (s, scratch) in self.scratch.iter_mut().enumerate() {
             let bound = self.plan.incident(s).len();
-            // SAFETY: `&mut self` — no parallel phase is running.
-            let scratch = unsafe { &mut *self.scratch[s].get() };
-            scratch.task_out.clear();
-            scratch.dummy_out = Vec::with_capacity(bound);
-            scratch.flow_out = Vec::with_capacity(bound);
-            scratch.alg2_out = Vec::with_capacity(bound);
+            scratch.out.tasks.clear();
+            scratch.out.dummy = Vec::with_capacity(bound);
+            scratch.out.tokens = Vec::with_capacity(bound);
+            scratch.out.deltas = Vec::with_capacity(bound);
         }
         self.graph = Some(Arc::clone(graph));
     }
 
-    /// The pool, plan and scratch cells, split for a parallel phase.
-    pub(crate) fn split(&self) -> (&ShardPool, &ShardPlan, &[SyncCell<ShardScratch>]) {
-        (&self.pool, &self.plan, &self.scratch)
+    /// The pool and the shard chunks, for the twin's parallel phases.
+    pub(crate) fn split(&self) -> (&ShardPool, &Chunks) {
+        (&self.pool, &self.plan.chunks)
     }
 
-    /// Per-shard scratch for sequential (apply-phase) inspection.
-    pub(crate) fn shard_results(&mut self) -> impl Iterator<Item = &ShardScratch> {
-        // SAFETY: `&mut self` — no parallel phase is running.
-        self.scratch.iter().map(|cell| unsafe { &*cell.get() })
+    /// Runs one discrete kernel call per shard, in parallel: shard `s` gets
+    /// its incident edges, its node range of `items`/`dummy`, and its
+    /// outbox.
+    // lint: zero-alloc
+    pub(crate) fn forward<Q: Send>(
+        &mut self,
+        items: &mut [Q],
+        dummy: &mut [u64],
+        kernel: impl Fn(&[EdgeId], Held<'_, Q>, &mut Outbox<'_>) -> Forwarded + Sync,
+    ) {
+        let items = SharedSliceMut::new(items);
+        let dummy = SharedSliceMut::new(dummy);
+        let scratch = SharedSliceMut::new(&mut self.scratch);
+        let plan = &self.plan;
+        self.pool.run(|s| {
+            let nodes = plan.node_range(s);
+            // SAFETY: scratch slot and node range belong to shard `s` alone;
+            // node ranges partition `0..n`.
+            let (scratch, items, dummy) = unsafe {
+                let range = nodes.clone();
+                (
+                    scratch.get_mut(s),
+                    items.range_mut(range.clone()),
+                    dummy.range_mut(range),
+                )
+            };
+            scratch.out.clear();
+            let held = Held::new(nodes.start, items, dummy);
+            scratch.sent = kernel(plan.incident(s), held, &mut Outbox::new(&mut scratch.out));
+        });
     }
 
-    /// Drains every shard's task outbox in **global edge order** (a k-way
-    /// merge over the per-shard edge-sorted outboxes), calling
-    /// `deliver(receiver, task)` exactly as the sequential engine would have
-    /// pushed its pending deliveries.
-    pub(crate) fn drain_merged_tasks(&mut self, mut deliver: impl FnMut(NodeId, Task)) {
-        let shards = self.scratch.len();
-        self.merge_cursor[..shards].fill(0);
-        loop {
-            let mut best: Option<(EdgeId, usize)> = None;
-            for s in 0..shards {
-                // SAFETY: `&mut self` — no parallel phase is running.
-                let scratch = unsafe { &*self.scratch[s].get() };
-                if let Some(&(edge, _, _)) = scratch.task_out.get(self.merge_cursor[s]) {
-                    if best.is_none_or(|(e, _)| edge < e) {
-                        best = Some((edge, s));
-                    }
+    /// The apply phase: drains every shard's outbox through
+    /// [`apply_batches`] and returns the summed counters.
+    // lint: zero-alloc
+    pub(crate) fn apply<R: Rule>(
+        &mut self,
+        items: &mut [R::Item],
+        dummy: &mut [u64],
+        ledger: &mut [i64],
+    ) -> Forwarded {
+        let scratch = &self.scratch;
+        let all = 0..dummy.len();
+        let cursors = &mut self.merge_cursor;
+        let applied = apply_batches::<R>(cursors, |s| &scratch[s].out, all, items, dummy, ledger);
+        debug_assert!(applied.is_ok(), "shard outboxes name valid nodes and edges");
+        let mut sent = Forwarded::default();
+        for scratch in scratch {
+            sent.items_sent += scratch.sent.items_sent;
+            sent.dummy_created += scratch.sent.dummy_created;
+        }
+        sent
+    }
+}
+
+/// The apply phase both executors share. First the task deliveries of the
+/// `cursors.len()` batches (`batch(i)`, each ascending by edge id) reach the
+/// receivers in `owned` in **global edge order**: a k-way merge, which
+/// reproduces the order the sequential engine pushes its deliveries in
+/// because each edge has one sender-owner per round, so no two batches
+/// share an edge. Then every batch's additive effects land: dummy transfers
+/// and token moves for receivers in `owned`, and every ledger delta (one for
+/// an edge the engine does not track lands in a stale slot that is never
+/// read).
+///
+/// # Errors
+///
+/// Returns [`CoreError::Federation`] when a batch names an unknown edge or
+/// moves tokens on a task engine: a peer process's batch is outside input.
+// lint: zero-alloc
+pub(crate) fn apply_batches<'a, R: Rule>(
+    cursors: &mut [usize],
+    batch: impl Fn(usize) -> &'a SendBatch,
+    owned: Range<NodeId>,
+    items: &mut [R::Item],
+    dummy: &mut [u64],
+    ledger: &mut [i64],
+) -> Result<(), CoreError> {
+    cursors.fill(0);
+    loop {
+        let mut best: Option<(EdgeId, usize)> = None;
+        for (i, cursor) in cursors.iter_mut().enumerate() {
+            let tasks = &batch(i).tasks;
+            while tasks
+                .get(*cursor)
+                .is_some_and(|&(_, r, _)| !owned.contains(&r))
+            {
+                *cursor += 1;
+            }
+            if let Some(&(edge, _, _)) = tasks.get(*cursor) {
+                if best.is_none_or(|(e, _)| edge < e) {
+                    best = Some((edge, i));
                 }
             }
-            let Some((_, s)) = best else { break };
-            // SAFETY: as above; the cursor keeps reads within bounds.
-            let scratch = unsafe { &*self.scratch[s].get() };
-            let (_, receiver, task) = scratch.task_out[self.merge_cursor[s]];
-            self.merge_cursor[s] += 1;
-            deliver(receiver, task);
+        }
+        let Some((_, i)) = best else { break };
+        let (_, receiver, task) = batch(i).tasks[cursors[i]];
+        cursors[i] += 1;
+        R::deliver(&mut items[receiver], task);
+    }
+    let tokens = R::tokens(items);
+    for i in 0..cursors.len() {
+        let batch = batch(i);
+        for &(receiver, amount) in &batch.dummy {
+            if owned.contains(&receiver) {
+                dummy[receiver] += amount;
+            }
+        }
+        for &(receiver, real, held) in &batch.tokens {
+            if owned.contains(&receiver) {
+                let slot = tokens.get_mut(receiver);
+                *slot.ok_or_else(|| malformed("token move on a task engine, node", receiver))? +=
+                    real;
+                dummy[receiver] += held;
+            }
+        }
+        for &(e, delta) in &batch.deltas {
+            *ledger
+                .get_mut(e)
+                .ok_or_else(|| malformed("flow delta for unknown edge", e))? += delta;
         }
     }
+    Ok(())
+}
+
+fn malformed(what: &str, index: usize) -> CoreError {
+    CoreError::federation(format!("{what} {index}"))
 }
 
 impl std::fmt::Debug for ShardedExecutor {
@@ -582,6 +680,30 @@ mod tests {
             let total: usize = (0..shards).map(|s| plan.incident(s).len()).sum();
             assert!(total >= g.edge_count());
             assert!(total <= 2 * g.edge_count());
+        }
+    }
+
+    #[test]
+    fn chunks_partition_a_sub_range() {
+        let g = generators::torus(6, 6).unwrap();
+        for (part, count) in [(5..23, 1), (5..23, 3), (0..36, 4), (30..36, 8)] {
+            let chunks = Chunks::build(&g, part.clone(), count);
+            assert_eq!(chunks.count(), count);
+            assert_eq!(chunks.nodes(), part);
+            let edges = g.edges();
+            for c in 0..count {
+                let nodes = chunks.node_range(c);
+                assert!(nodes.start <= nodes.end);
+                if c + 1 < count {
+                    assert_eq!(nodes.end, chunks.node_range(c + 1).start);
+                }
+                // A chunk's edge range holds exactly its nodes' canonical edges.
+                for e in chunks.edge_range(c) {
+                    assert!(nodes.contains(&edges[e].0));
+                }
+                let owned = edges.iter().filter(|&&(u, _)| nodes.contains(&u)).count();
+                assert_eq!(chunks.edge_range(c).len(), owned);
+            }
         }
     }
 

@@ -935,10 +935,7 @@ mod tests {
 
     #[test]
     fn atomic_write_round_trips_and_cleans_up() {
-        let path = std::env::temp_dir().join(format!(
-            "lb_snapshot_unit_{}.snap.jsonl",
-            std::process::id()
-        ));
+        let path = lb_analysis::artifact::unique_temp_path("lb_snapshot_unit.snap.jsonl");
         let snapshot = sample();
         write_atomic(&path, &snapshot).expect("writes");
         // Overwrite with a second snapshot: rename replaces atomically.

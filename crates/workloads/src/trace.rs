@@ -86,8 +86,9 @@ impl TraceWriter {
     }
 
     /// Starts a trace file destined for `path`. The trace is streamed into
-    /// a temp sibling (`.{name}.tmp.{pid}`) and atomically published under
-    /// `path` — fsync, rename, directory fsync — by
+    /// a unique temp sibling (see
+    /// [`staging_path`](lb_analysis::artifact::staging_path)) and atomically
+    /// published under `path` — fsync, rename, directory fsync — by
     /// [`finish`](TraceWriter::finish): a crash or error mid-recording
     /// leaves whatever was at `path` before untouched, never a torn trace.
     ///
@@ -96,12 +97,7 @@ impl TraceWriter {
     /// Returns a message naming the path on creation or write failure.
     pub fn create(path: impl AsRef<Path>, scenario: &Scenario) -> Result<Self, String> {
         let path = path.as_ref();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("trace");
-        let tmp_name = format!(".{name}.tmp.{}", std::process::id());
-        let tmp = match path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            Some(dir) => dir.join(tmp_name),
-            None => PathBuf::from(tmp_name),
-        };
+        let tmp = lb_analysis::artifact::staging_path(path);
         // lint: allow(R04, staging file only: finish() publishes it atomically)
         let file = fs::File::create(&tmp)
             .map_err(|e| format!("creating trace {}: {e}", path.display()))?;

@@ -10,6 +10,7 @@
 //! CI runs this suite under the `federate` job's `timeout-minutes`, so a
 //! hang here fails loudly twice over.
 
+use lb_analysis::artifact::unique_temp_path;
 use lb_workloads::{
     AlgorithmSpec, ArrivalSpec, ChurnEvent, ChurnKind, InitialSpec, ModelSpec, PadSpec, Scenario,
     ServiceSpec, SpeedSpec, TokenDistribution, TopologySpec,
@@ -76,10 +77,7 @@ fn lb() -> Command {
 }
 
 fn temp(tag: &str, name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "lb_federate_equivalence_{}_{tag}_{name}",
-        std::process::id()
-    ))
+    unique_temp_path(&format!("lb_federate_equivalence_{tag}_{name}"))
 }
 
 fn write_scenario(tag: &str, scenario: &Scenario) -> PathBuf {

@@ -5,6 +5,7 @@
 //! gate — a self-check that the workspace itself lints clean through the
 //! same binary entry point CI uses.
 
+use lb_analysis::artifact::unique_temp_path;
 use lb_lint::{lint_source, report_json, Config, Finding, Linter, RULES};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -341,7 +342,7 @@ fn lint_subcommand_exit_codes() {
 
     // Findings → exit 1 with a diagnostic naming the rule; point the linter
     // at a scratch tree with a planted violation.
-    let dir = std::env::temp_dir().join(format!("lb-lint-corpus-{}", std::process::id()));
+    let dir = unique_temp_path("lb-lint-corpus");
     std::fs::create_dir_all(dir.join("src")).expect("scratch tree");
     std::fs::write(
         dir.join("src/planted.rs"),

@@ -6,6 +6,7 @@
 //! to its *specific located* [`lb_core::snapshot::SnapshotError`] variant,
 //! never a panic and never a silently-wrong resume.
 
+use lb_analysis::artifact::unique_temp_path;
 use lb_bench::dynamic::Session;
 use lb_core::snapshot::{self, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 use lb_workloads::{
@@ -50,10 +51,7 @@ fn scenario() -> Scenario {
 /// The canonical snapshot text, produced by the real checkpoint path (the
 /// rotating file after a run with cadence 10 holds the round-20 capture).
 fn canonical() -> String {
-    let path = std::env::temp_dir().join(format!(
-        "lb_snapshot_corpus_canonical_{}.jsonl",
-        std::process::id()
-    ));
+    let path = unique_temp_path("lb_snapshot_corpus_canonical.jsonl");
     Session::from_scenario(&scenario())
         .checkpoint(path.clone(), 10)
         .run(|_| {})
@@ -247,10 +245,7 @@ fn load_maps_missing_files_to_io_errors() {
 fn atomic_writes_survive_overwrites_and_round_trip() {
     let text = canonical();
     let parsed: Snapshot = snapshot::parse(&text).unwrap();
-    let path = std::env::temp_dir().join(format!(
-        "lb_snapshot_corpus_atomic_{}.jsonl",
-        std::process::id()
-    ));
+    let path = unique_temp_path("lb_snapshot_corpus_atomic.jsonl");
     // Two writes (the rotating-checkpoint pattern): the reader always sees a
     // complete document, and the temp sibling never survives.
     snapshot::write_atomic(&path, &parsed).unwrap();
