@@ -29,9 +29,6 @@
 //! malformed values exit with status 2 and the usage message — a typo like
 //! `--shard 4` fails loudly instead of silently running sequentially.
 //!
-//! The legacy per-experiment binaries (`table1`, `hotpath`, …) are thin
-//! shims over [`shim`], so one dispatch table owns all argument parsing.
-//!
 //! Failures exit with the typed codes of
 //! [`BenchError`]: 2 for usage errors, 3 for
 //! protocol/handshake violations, 4 for I/O failures, 1 for everything
@@ -66,11 +63,10 @@ COMMANDS:
                           parallelism; results are bit-identical for every N).
                           Env fallback: LB_BENCH_SHARDS.
         --producer MODE   How events reach the engine: 'scenario' (inline,
-                          the default), 'channel' (async ingestion — a
-                          producer thread streams batches through the bounded
-                          SPSC channel) or 'merge:N' (N producer threads,
-                          k-way merged back into round order). Results are
-                          bit-identical in every mode.
+                          the default) or 'merge:N' (async ingestion — N
+                          producer threads stream batches through bounded
+                          SPSC channels, k-way merged back into round
+                          order). Results are bit-identical in every mode.
         --record PATH     Record the applied event stream as a replayable
                           line-delimited JSON trace (see ROADMAP.md 'Async
                           ingestion'). Recording never perturbs the run.
@@ -98,11 +94,12 @@ COMMANDS:
         --out PATH        Also write the result JSON to PATH.
         --quiet           Suppress the per-sample stream on stderr.
     replay <trace.jsonl | ->
-                          Replay a recorded trace through the async ingestion
-                          channel; emits result JSON byte-identical to the
-                          recorded run's (the trace pins the seed). '-' reads
-                          a framed trace stream from stdin (pipe a
-                          'lb serve-trace' into it for end-to-end testing).
+                          Replay a recorded trace through async ingestion (a
+                          one-feed merge); emits result JSON byte-identical
+                          to the recorded run's (the trace pins the seed).
+                          '-' reads a framed trace stream from stdin (pipe
+                          a 'lb serve-trace' into it for end-to-end
+                          testing).
         --follow          Tail the trace file as it grows instead of loading
                           it up front; only the 'end' record ends the run
                           cleanly (see --idle-timeout-ms).
@@ -228,12 +225,12 @@ COMMANDS:
                           the source level: nondeterminism (R01), truncating
                           casts (R02), panics in library code (R03),
                           non-atomic artefact writes (R04), allocation in
-                          'zero-alloc'-annotated hot paths (R05), deprecated
-                          driver calls (R06). Walks the workspace (scoped by
-                          lint.toml) or just PATHS when given. Suppress a
-                          finding with '// lint: allow(RXX, reason)' on the
-                          same or previous line; a suppression without a
-                          reason is itself a finding. Exits 0 when clean,
+                          'zero-alloc'-annotated hot paths (R05). Walks the
+                          workspace (scoped by lint.toml) or just PATHS
+                          when given. Suppress a finding with
+                          '// lint: allow(RXX, reason)' on the same or
+                          previous line; a suppression without a reason is
+                          itself a finding. Exits 0 when clean,
                           1 with findings. See ROADMAP.md 'Static analysis'.
         --format FMT      'human' (default) or 'json' (one machine-readable
                           report document on stdout).
@@ -249,15 +246,6 @@ exit 4; other runtime failures exit 1.
 /// the process exit code.
 pub fn main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    dispatch(&args)
-}
-
-/// Entry point for the legacy single-experiment binaries: runs `lb <name>`
-/// with the binary's own CLI arguments appended, so `table1 --quick`
-/// behaves exactly like `lb table1 --quick`.
-pub fn shim(name: &str) -> i32 {
-    let mut args = vec![name.to_string()];
-    args.extend(std::env::args().skip(1));
     dispatch(&args)
 }
 
@@ -475,13 +463,10 @@ fn emit_ingest_stats(outcome: &ScenarioOutcome, path: &str) -> Result<(), String
     Ok(())
 }
 
-/// Parses a `--producer` mode: `scenario`, `channel`, or `merge:<feeds>`.
+/// Parses a `--producer` mode: `scenario` or `merge:<feeds>`.
 fn producer_option(value: Option<&str>) -> Result<Producer, String> {
     match value {
         None | Some("scenario") => Ok(Producer::Scenario),
-        Some("channel") => Ok(Producer::Channel {
-            capacity: DEFAULT_CHANNEL_CAPACITY,
-        }),
         Some(mode) => {
             if let Some(feeds) = mode.strip_prefix("merge:") {
                 let feeds: usize = feeds
@@ -499,7 +484,7 @@ fn producer_option(value: Option<&str>) -> Result<Producer, String> {
                 })
             } else {
                 Err(format!(
-                    "--producer: unknown mode {mode:?} (want scenario|channel|merge:<feeds>)"
+                    "--producer: unknown mode {mode:?} (want scenario|merge:<feeds>)"
                 ))
             }
         }
@@ -1424,6 +1409,11 @@ mod tests {
             dispatch(&args(&["run", "s.json", "--producer", "satellite"])),
             2
         );
+        // `channel` is not a mode: a single producer is `merge:1`.
+        assert_eq!(
+            dispatch(&args(&["run", "s.json", "--producer", "channel"])),
+            2
+        );
         assert_eq!(dispatch(&args(&["replay", "t.jsonl", "--shards", "x"])), 2);
     }
 
@@ -1434,10 +1424,7 @@ mod tests {
             producer_option(Some("scenario")).unwrap(),
             Producer::Scenario
         );
-        assert!(matches!(
-            producer_option(Some("channel")).unwrap(),
-            Producer::Channel { .. }
-        ));
+        assert!(producer_option(Some("channel")).is_err());
         assert_eq!(
             producer_option(Some("merge:3")).unwrap(),
             Producer::Merge {

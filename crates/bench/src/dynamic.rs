@@ -15,33 +15,32 @@
 //! ([`Session::from_snapshot`]); layer on overrides and side outputs
 //! (`.seed()`, `.shards()`, `.producer()`, `.record()`, `.checkpoint()`,
 //! `.stream()`, `.merged()`); then [`Session::run`]. Failures come back as
-//! the typed [`crate::error::BenchError`]. The former free functions
-//! (`run_scenario` … `resume_replay`) remain as deprecated shims — the
-//! migration table lives in the [crate docs](crate).
+//! the typed [`crate::error::BenchError`].
 //!
-//! Events can reach the engine six ways, all bit-identical for the same
+//! Events can reach the engine five ways, all bit-identical for the same
 //! scenario and seed (`tests/ingest_equivalence.rs`,
-//! `tests/merge_equivalence.rs`, `tests/serve_faults.rs`):
+//! `tests/merge_equivalence.rs`, `tests/serve_faults.rs`). Every way but
+//! the first ends in one consumer, a [`MergeSession`] of
+//! [`lb_core::ingest::merge`]:
 //!
 //! * **sync** ([`Producer::Scenario`]) — the driver materialises each
 //!   round's batch inline from the scenario's event stream;
-//! * **channel** ([`Producer::Channel`]) — a producer thread streams the
-//!   same batches through the bounded SPSC channel of [`lb_core::ingest`];
 //! * **merge** ([`Producer::Merge`]) — N producer threads each stream a
-//!   contiguous per-round slice of the same batches over their own channel,
-//!   k-way merged back into round order by [`lb_core::ingest::merge`];
+//!   contiguous per-round slice of the same batches over their own bounded
+//!   channel ([`lb_core::ingest`]), k-way merged back into round order;
 //! * **trace replay** ([`Session::from_trace`]) — the batches come from a
-//!   recorded trace file ([`lb_workloads::trace`]) through the channel;
+//!   recorded trace file ([`lb_workloads::trace`]) through a one-feed merge;
 //! * **byte-stream replay** ([`Session::from_stream`]) — the batches are
 //!   parsed incrementally from a live byte stream ([`lb_workloads::source`]:
-//!   a growing file tail or any pipe/socket reader) on the producer thread;
+//!   a growing file tail or any pipe/socket reader) on the producer thread
+//!   of a one-feed merge;
 //! * **external merge** ([`Session::merged`]) — the driver consumes an
 //!   externally built [`MergeSession`] whose feeds are produced elsewhere —
 //!   e.g. the socket connections of [`crate::serve`], registered on the fly
 //!   through a [`lb_core::ingest::merge::FeedRegistrar`].
 //!
 //! Any run can be recorded ([`Session::record`]) and replayed later.
-//! Channel-fed runs additionally report backpressure metrics (blocked
+//! Merge-fed runs additionally report backpressure metrics (blocked
 //! sends/duration per feed, high-water depth) through
 //! [`ScenarioOutcome::ingest`] — out of band, because those counters are
 //! timing-dependent while the result document is pinned byte-identical.
@@ -69,7 +68,7 @@ use lb_core::discrete::{
 };
 use lb_core::federate::FederateLink;
 use lb_core::ingest::merge::MergeSession;
-use lb_core::ingest::{self, ChannelMetrics, IngestSession};
+use lb_core::ingest::{self, EventProducer};
 use lb_core::snapshot::{self, Snapshot};
 use lb_core::{metrics, CoreError, FederatedExecutor, InitialLoad, ShardedExecutor, Speeds};
 use lb_graph::{AlphaScheme, Graph, GraphDelta};
@@ -143,7 +142,7 @@ pub struct ScenarioOutcome {
     pub trajectory: Vec<RoundSample>,
     /// Total dummy load drawn from the infinite source over the run.
     pub dummy_created: u64,
-    /// Ingestion report for channel-fed runs (`None` on the sync path):
+    /// Ingestion report for merge-fed runs (`None` on the sync path):
     /// per-feed batch/event totals and backpressure metrics. Deliberately
     /// **not** part of [`to_json`](ScenarioOutcome::to_json) — the counters
     /// are timing-dependent, while the result document is pinned
@@ -423,15 +422,7 @@ pub enum Producer {
     /// inline from the scenario's event stream (the default).
     #[default]
     Scenario,
-    /// The async ingestion path: a producer thread generates the same
-    /// stream and feeds it through a bounded SPSC channel
-    /// ([`lb_core::ingest`]); the driver drains one round's batch between
-    /// rounds.
-    Channel {
-        /// Maximum in-flight batches (how far the producer may run ahead).
-        capacity: usize,
-    },
-    /// The multi-producer path: `feeds` producer threads each generate the
+    /// The async ingestion path: `feeds` producer threads each generate the
     /// stream and send a contiguous per-round slice of every batch over
     /// their own bounded channel; the consumer side k-way merges the slices
     /// back into one round-ordered stream ([`lb_core::ingest::merge`]).
@@ -440,79 +431,39 @@ pub enum Producer {
     Merge {
         /// Number of producer feeds (1..=[`MAX_MERGE_FEEDS`]).
         feeds: usize,
-        /// Per-feed channel capacity.
+        /// Per-feed channel capacity: maximum in-flight batches, i.e. how
+        /// far each producer may run ahead of the engine.
         capacity: usize,
     },
 }
 
-/// Default channel capacity for [`Producer::Channel`] and trace/stream
-/// replay sessions.
+/// Default per-feed channel capacity for trace/stream replay sessions, the
+/// CLI's merge producer and served connections.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 32;
 
 /// Upper bound on [`Producer::Merge`] feeds: each feed is an OS thread, so
 /// an absurd count must be a validation error, not a `thread::spawn` abort.
 pub const MAX_MERGE_FEEDS: usize = 64;
 
-/// Run configuration carried by a [`Session`] (and by the deprecated
-/// `run_scenario_with` shim).
+/// Run configuration carried by a [`Session`]; each field is set by the
+/// builder method of the same name, which documents it.
 #[derive(Debug, Clone, Default)]
-pub struct RunOptions {
-    /// Replaces the spec's seed (the CLI's `--seed`); the effective value is
-    /// recorded in the outcome.
-    pub seed: Option<u64>,
-    /// Replaces the spec's shard count (the CLI's `--shards` /
-    /// `LB_BENCH_SHARDS`). Shard count never changes the result — only
-    /// wall-clock time.
-    pub shards: Option<usize>,
-    /// How events reach the engine.
-    pub producer: Producer,
-    /// Record the applied event stream to this trace file
-    /// ([`lb_workloads::trace`]); the trace embeds the effective scenario
-    /// and replays bit-identically via [`Session::from_trace`]. Recording
-    /// never perturbs the run itself.
-    pub record: Option<PathBuf>,
-    /// Write a rotating engine snapshot ([`lb_core::snapshot`]) to this
-    /// path every [`checkpoint_every`](RunOptions::checkpoint_every)
-    /// rounds. Each write is atomic (temp file → fsync → rename), so the
-    /// file always holds the newest *complete* checkpoint — a crash
-    /// mid-write leaves the previous one intact. Resume with
-    /// [`Session::from_snapshot`]. Checkpointing never perturbs the run
-    /// itself.
-    pub checkpoint: Option<PathBuf>,
-    /// Checkpoint cadence in completed rounds; required with (and only
-    /// meaningful alongside) [`checkpoint`](RunOptions::checkpoint).
-    pub checkpoint_every: Option<usize>,
-}
-
-/// The JSON form of one feed's ingestion stats.
-fn feed_stats_json(
-    feed: usize,
-    batches: u64,
-    events: u64,
-    drained: bool,
-    channel: ChannelMetrics,
-) -> Json {
-    Json::obj([
-        ("feed", Json::from(feed)),
-        ("batches", Json::from(batches)),
-        ("events", Json::from(events)),
-        ("drained", Json::from(drained)),
-        ("blocked_sends", Json::from(channel.blocked_sends)),
-        ("blocked_nanos", Json::from(channel.blocked_nanos)),
-        ("high_water", Json::from(channel.high_water)),
-    ])
+pub(crate) struct RunOptions {
+    pub(crate) seed: Option<u64>,
+    pub(crate) shards: Option<usize>,
+    pub(crate) producer: Producer,
+    pub(crate) record: Option<PathBuf>,
+    /// With `checkpoint_every`: see [`Session::checkpoint`].
+    pub(crate) checkpoint: Option<PathBuf>,
+    pub(crate) checkpoint_every: Option<usize>,
 }
 
 /// Where the driver's per-round batches come from.
 enum EventSource {
     /// Inline generation from the scenario stream.
     Sync(ScenarioEvents),
-    /// A producer thread on the other end of the ingest channel.
-    Channel {
-        session: IngestSession,
-        producer: Option<JoinHandle<Result<(), String>>>,
-    },
-    /// N producer threads, k-way merged on the consumer side.
+    /// Producer threads (none for an external merge) on the other end of
+    /// the ingest channels, k-way merged on the consumer side.
     Merge {
         session: MergeSession,
         producers: Vec<JoinHandle<Result<(), String>>>,
@@ -521,17 +472,13 @@ enum EventSource {
 
 impl EventSource {
     /// Fills `out` with the batch for `round` (empty when the round has no
-    /// events). Channel/merge ordering violations are stream-protocol
-    /// errors.
+    /// events). Merge ordering violations are stream-protocol errors.
     fn fill_round(&mut self, round: usize, out: &mut RoundEvents) -> Result<(), BenchError> {
         match self {
             EventSource::Sync(stream) => {
                 stream.fill_round(round, out);
                 Ok(())
             }
-            EventSource::Channel { session, .. } => session
-                .fill_round(round as u64, out)
-                .map_err(|err| BenchError::protocol(err.to_string())),
             EventSource::Merge { session, .. } => session
                 .fill_round(round as u64, out)
                 .map_err(|err| BenchError::protocol(err.to_string())),
@@ -539,81 +486,76 @@ impl EventSource {
     }
 
     /// Propagates topology churn to the source. Only the inline stream needs
-    /// telling — channel producers follow a precomputed speeds schedule.
+    /// telling — producer threads follow a precomputed speeds schedule.
     fn set_topology(&mut self, speeds: &Speeds) {
         if let EventSource::Sync(stream) = self {
             stream.set_topology(speeds);
         }
     }
 
-    /// Joins one producer thread: a panic becomes a typed error (the panic
-    /// already released the channel via `Drop`, so the run itself degraded
-    /// to an event-free remainder instead of deadlocking), and a producer's
-    /// own error — e.g. a torn trace tail — propagates verbatim, classified
-    /// I/O-versus-protocol by its message shape.
-    fn join_producer(handle: JoinHandle<Result<(), String>>) -> Result<(), BenchError> {
-        handle
-            .join()
-            .map_err(|_| BenchError::run("ingest producer thread panicked"))?
-            .map_err(BenchError::from_source)
-    }
-
-    /// Tears the source down: snapshots the ingestion stats, drops the
+    /// Tears the source down after `rounds` rounds: waits for the driver's
+    /// own producers to hang up, snapshots the ingestion stats, drops the
     /// consumer side (any still-blocked producer send fails immediately, so
     /// this never blocks on a full queue), then joins every producer thread
-    /// and propagates the first failure.
-    fn finish(self) -> Result<Option<Json>, BenchError> {
-        match self {
-            EventSource::Sync(_) => Ok(None),
-            EventSource::Channel { session, producer } => {
-                let stats = Json::obj([
-                    ("producer", Json::from("channel")),
-                    (
-                        "feeds",
-                        Json::Arr(vec![feed_stats_json(
-                            0,
-                            session.batches(),
-                            session.events(),
-                            session.ended(),
-                            session.metrics(),
-                        )]),
-                    ),
-                ]);
-                drop(session);
-                producer.map(Self::join_producer).transpose()?;
-                Ok(Some(stats))
+    /// and propagates the first failure. A producer panic becomes a typed
+    /// error (the panic already released the channel via `Drop`, so the run
+    /// itself degraded to an event-free remainder instead of deadlocking),
+    /// and a producer's own error — e.g. a torn trace tail — propagates
+    /// verbatim, classified I/O-versus-protocol by its message shape.
+    fn finish(self, rounds: usize) -> Result<Option<Json>, BenchError> {
+        let EventSource::Merge {
+            mut session,
+            producers,
+        } = self
+        else {
+            return Ok(None);
+        };
+        if !producers.is_empty() {
+            // The driver's producers never tag a batch at or past `rounds`
+            // (traces and sources validate it), so asking for that round
+            // consumes nothing: it only waits for each feed to hang up —
+            // which the join below waits for anyway — so the report shows
+            // the feeds drained. External feeds (served runs) may stay
+            // open for reconnects and are not waited for.
+            let mut rest = RoundEvents::default();
+            session
+                .fill_round(rounds as u64, &mut rest)
+                .map_err(|err| BenchError::protocol(err.to_string()))?;
+        }
+        let feeds = session
+            .feed_reports()
+            .into_iter()
+            .enumerate()
+            .map(|(feed, report)| {
+                Json::obj([
+                    ("feed", Json::from(feed)),
+                    ("batches", Json::from(report.batches)),
+                    ("events", Json::from(report.events)),
+                    ("drained", Json::from(report.drained)),
+                    ("blocked_sends", Json::from(report.channel.blocked_sends)),
+                    ("blocked_nanos", Json::from(report.channel.blocked_nanos)),
+                    ("high_water", Json::from(report.channel.high_water)),
+                ])
+            })
+            .collect();
+        let stats = Json::obj([
+            ("producer", Json::from("merge")),
+            ("feeds", Json::Arr(feeds)),
+        ]);
+        drop(session);
+        let mut failure = None;
+        for handle in producers {
+            let joined = handle
+                .join()
+                .map_err(|_| BenchError::run("ingest producer thread panicked"))
+                .and_then(|result| result.map_err(BenchError::from_source));
+            if let Err(err) = joined {
+                failure.get_or_insert(err);
             }
-            EventSource::Merge { session, producers } => {
-                let feeds = session
-                    .feed_reports()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(feed, report)| {
-                        feed_stats_json(
-                            feed,
-                            report.batches,
-                            report.events,
-                            report.drained,
-                            report.channel,
-                        )
-                    })
-                    .collect();
-                let stats = Json::obj([
-                    ("producer", Json::from("merge")),
-                    ("feeds", Json::Arr(feeds)),
-                ]);
-                drop(session);
-                let mut failure = None;
-                for handle in producers {
-                    if let Err(err) = Self::join_producer(handle) {
-                        failure.get_or_insert(err);
-                    }
-                }
-                match failure {
-                    Some(err) => Err(err),
-                    None => Ok(Some(stats)),
-                }
-            }
+        }
+        match failure {
+            Some(err) => Err(err),
+            None => Ok(Some(stats)),
         }
     }
 }
@@ -641,7 +583,7 @@ pub(crate) struct ChurnStep {
 /// The churn plan, precomputed once per run: for every churn event, the
 /// rebuilt topology and the speeds the engine will carry on it. The driver
 /// consumes the graphs — each churn graph is built exactly once, whichever
-/// producer mode runs — and a channel producer follows the speeds without
+/// producer mode runs — and a merge producer follows the speeds without
 /// hearing back from the engine thread. (Graph generators are seeded per
 /// event, so building up front is bit-identical to building lazily.)
 ///
@@ -702,37 +644,18 @@ pub(crate) fn churn_schedule(
     Ok(schedule)
 }
 
-/// Spawns the producer thread for [`Producer::Channel`]: generates the
-/// scenario's event stream round by round and sends each non-empty batch
-/// through the channel, recycling drained buffers so steady-state production
-/// allocates nothing.
-fn spawn_scenario_producer(
-    mut stream: ScenarioEvents,
-    schedule: Vec<(usize, Speeds)>,
-    rounds: usize,
+/// Spawns one producer thread behind a one-feed merge: `produce` fills
+/// the feed's channel, and its error (if any) surfaces when the driver
+/// joins the thread.
+fn spawn_one_feed(
     capacity: usize,
-) -> (IngestSession, JoinHandle<Result<(), String>>) {
-    let (mut tx, rx) = ingest::bounded(capacity);
-    let handle = std::thread::spawn(move || {
-        let mut schedule = schedule.into_iter().peekable();
-        let mut spare: Option<RoundEvents> = None;
-        for round in 0..rounds {
-            while schedule.peek().is_some_and(|(r, _)| *r == round) {
-                // lint: allow(R03, the peek in the loop condition proves Some)
-                let (_, speeds) = schedule.next().expect("peeked entry");
-                stream.set_topology(&speeds);
-            }
-            let mut batch = spare.take().unwrap_or_else(|| tx.buffer());
-            stream.fill_round(round, &mut batch);
-            if batch.is_empty() {
-                spare = Some(batch);
-            } else if tx.send(round as u64, batch).is_err() {
-                return Ok(()); // consumer hung up; the driver reports its own error
-            }
-        }
-        Ok(())
-    });
-    (IngestSession::new(rx), handle)
+    produce: impl FnOnce(EventProducer) -> Result<(), String> + Send + 'static,
+) -> EventSource {
+    let (tx, rx) = ingest::bounded(capacity);
+    EventSource::Merge {
+        session: MergeSession::new(vec![rx]),
+        producers: vec![std::thread::spawn(move || produce(tx))],
+    }
 }
 
 /// The contiguous slice of a `len`-element event list that feed `feed` of
@@ -748,14 +671,15 @@ pub(crate) fn feed_slice(len: usize, feed: usize, feeds: usize) -> std::ops::Ran
 /// full (deterministic) scenario stream and sends only its contiguous slice
 /// of each round's batch over its own channel — no cross-thread coordination
 /// on the producer side at all. Empty slices are skipped, so a feed can go
-/// whole rounds without sending.
+/// whole rounds without sending. A producer follows churn through the
+/// precomputed speeds `schedule`, never hearing back from the engine.
 fn spawn_merge_producers(
     stream: ScenarioEvents,
     schedule: Vec<(usize, Speeds)>,
     rounds: usize,
     feeds: usize,
     capacity: usize,
-) -> (MergeSession, Vec<JoinHandle<Result<(), String>>>) {
+) -> EventSource {
     let mut consumers = Vec::with_capacity(feeds);
     let mut handles = Vec::with_capacity(feeds);
     for feed in 0..feeds {
@@ -791,17 +715,16 @@ fn spawn_merge_producers(
             Ok(())
         }));
     }
-    (MergeSession::new(consumers), handles)
+    EventSource::Merge {
+        session: MergeSession::new(consumers),
+        producers: handles,
+    }
 }
 
-/// Spawns the producer thread for [`Session::from_trace`]: feeds the recorded round
-/// batches through the channel in order.
-fn spawn_trace_producer(
-    rounds: Vec<lb_workloads::TraceRound>,
-    capacity: usize,
-) -> (IngestSession, JoinHandle<Result<(), String>>) {
-    let (mut tx, rx) = ingest::bounded(capacity);
-    let handle = std::thread::spawn(move || {
+/// Spawns the producer thread for [`Session::from_trace`]: feeds the
+/// recorded round batches through a one-feed merge in order.
+fn spawn_trace_producer(rounds: Vec<lb_workloads::TraceRound>, capacity: usize) -> EventSource {
+    spawn_one_feed(capacity, move |mut tx| {
         for record in rounds {
             let mut batch = tx.buffer();
             record.fill(&mut batch);
@@ -813,22 +736,18 @@ fn spawn_trace_producer(
             }
         }
         Ok(())
-    });
-    (IngestSession::new(rx), handle)
+    })
 }
 
-/// Spawns the producer thread for [`Session::from_stream`]: pulls round batches off
-/// a live byte-stream source ([`lb_workloads::source`]) and feeds them
-/// through the channel, recycling drained buffers. A source error — a torn
-/// trace tail, a stalled writer, malformed records — ends production early
-/// (the engine sees an event-free remainder and the run completes) and then
-/// surfaces as the run's error when the driver joins the thread.
-fn spawn_source_producer(
-    mut source: Box<dyn RoundSource>,
-    capacity: usize,
-) -> (IngestSession, JoinHandle<Result<(), String>>) {
-    let (mut tx, rx) = ingest::bounded(capacity);
-    let handle = std::thread::spawn(move || {
+/// Spawns the producer thread for [`Session::from_stream`]: pulls round
+/// batches off a live byte-stream source ([`lb_workloads::source`]) and
+/// feeds them through a one-feed merge, recycling drained buffers. A source
+/// error — a torn trace tail, a stalled writer, malformed records — ends
+/// production early (the engine sees an event-free remainder and the run
+/// completes) and then surfaces as the run's error when the driver joins
+/// the thread.
+fn spawn_source_producer(mut source: Box<dyn RoundSource>, capacity: usize) -> EventSource {
+    spawn_one_feed(capacity, move |mut tx| {
         let mut spare: Option<RoundEvents> = None;
         loop {
             // Deliberately no `tx.is_disconnected()` fast-exit here: the
@@ -849,8 +768,7 @@ fn spawn_source_producer(
                 None => return Ok(()),
             }
         }
-    });
-    (IngestSession::new(rx), handle)
+    })
 }
 
 /// Where a [`Session`] starts from: a scenario spec to run, or a snapshot
@@ -875,15 +793,11 @@ enum Origin {
 /// let outcome = Session::from_scenario(&scenario)
 ///     .seed(7)
 ///     .shards(4)
-///     .producer(Producer::Channel { capacity: 8 })
+///     .producer(Producer::Merge { feeds: 2, capacity: 8 })
 ///     .record(PathBuf::from("run.trace.jsonl"))
 ///     .run(|_| {})?;
 /// # Ok::<(), lb_bench::error::BenchError>(())
 /// ```
-///
-/// The deprecated free functions (`run_scenario` … `resume_replay`) are
-/// thin shims over this builder; the migration table lives in the
-/// [crate docs](crate).
 pub struct Session {
     origin: Origin,
     feed: Feed,
@@ -904,10 +818,10 @@ impl Session {
         }
     }
 
-    /// Starts a session that replays a recorded trace through the async
-    /// ingestion channel: the embedded scenario rebuilds the graph, speeds
-    /// and initial load, and the recorded batches drive the engine instead
-    /// of the scenario's generator. For a trace recorded from the same
+    /// Starts a session that replays a recorded trace through a one-feed
+    /// merge ([`lb_core::ingest::merge`]): the embedded scenario rebuilds
+    /// the graph, speeds and initial load, and the recorded batches drive
+    /// the engine instead of the scenario's generator. For a trace recorded from the same
     /// scenario and seed, the result document is byte-identical to the
     /// original run's. The trace pins the seed ([`Session::seed`] is
     /// rejected); [`Session::shards`] replaces the embedded shard count
@@ -923,11 +837,12 @@ impl Session {
         }
     }
 
-    /// Starts a session that replays a live byte stream through the async
-    /// ingestion channel: the source's header embeds the effective
-    /// scenario, and its round records drive the engine as they arrive —
-    /// from a growing trace file ([`lb_workloads::TraceSource`]) or any
-    /// framed reader ([`lb_workloads::ReadSource`]: pipes, sockets, stdin).
+    /// Starts a session that replays a live byte stream through a one-feed
+    /// merge ([`lb_core::ingest::merge`]): the source's header embeds the
+    /// effective scenario, and its round records drive the engine as they
+    /// arrive — from a growing trace file ([`lb_workloads::TraceSource`])
+    /// or any framed reader ([`lb_workloads::ReadSource`]: pipes, sockets,
+    /// stdin).
     ///
     /// The source runs on the producer thread; a source failure (torn tail,
     /// stalled writer, malformed record) ends production early — the engine
@@ -988,9 +903,8 @@ impl Session {
         self
     }
 
-    /// Selects how generated events reach the engine (sync, channel or
-    /// merge). Ignored by trace/stream/merged feeds, which bring their own
-    /// channel path.
+    /// Selects how generated events reach the engine (sync or merge).
+    /// Ignored by trace/stream/merged feeds, which bring their own merge.
     pub fn producer(mut self, producer: Producer) -> Self {
         self.options.producer = producer;
         self
@@ -1006,9 +920,11 @@ impl Session {
     }
 
     /// Writes a rotating atomic engine snapshot to `path` every `every`
-    /// completed rounds (see [`RunOptions::checkpoint`]); resume with
-    /// [`Session::from_snapshot`]. Both halves must be present — `run`
-    /// rejects an unpaired path or cadence.
+    /// completed rounds; resume with [`Session::from_snapshot`]. Each write
+    /// is atomic (temp file → fsync → rename), so the file always holds the
+    /// newest *complete* checkpoint — a crash mid-write leaves the previous
+    /// one intact. Checkpointing never perturbs the run itself. Both halves
+    /// must be present — `run` rejects an unpaired path or cadence.
     pub fn checkpoint(
         mut self,
         path: impl Into<Option<PathBuf>>,
@@ -1057,7 +973,8 @@ impl Session {
     /// [`crate::serve`], registered on the fly through a
     /// [`lb_core::ingest::merge::FeedRegistrar`]. The driver blocks at each
     /// round boundary on every open feed (the merge contract), applies the
-    /// coalesced batches, and rolls the per-feed [`ChannelMetrics`] into
+    /// coalesced batches, and rolls the per-feed
+    /// [`ChannelMetrics`](lb_core::ingest::ChannelMetrics) into
     /// [`ScenarioOutcome::ingest`].
     pub fn merged(mut self, session: MergeSession) -> Self {
         self.feed = Feed::Merge(session);
@@ -1170,80 +1087,6 @@ impl Session {
         };
         execute(scenario, feed, &options, resume, on_sample)
     }
-}
-
-/// Runs `scenario` with the given overrides.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_scenario(..).seed(..).shards(..).run(..)`")]
-pub fn run_scenario(
-    scenario: &Scenario,
-    seed_override: Option<u64>,
-    shards_override: Option<usize>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_scenario(scenario)
-        .seed(seed_override)
-        .shards(shards_override)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
-/// Runs `scenario` under `options`.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_scenario(..)` with builder methods")]
-pub fn run_scenario_with(
-    scenario: &Scenario,
-    options: &RunOptions,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_scenario(scenario)
-        .seed(options.seed)
-        .shards(options.shards)
-        .producer(options.producer)
-        .record(options.record.clone())
-        .checkpoint(options.checkpoint.clone(), options.checkpoint_every)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
-/// Replays a recorded trace.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_trace(..).shards(..).run(..)`")]
-pub fn replay_trace(
-    trace: Trace,
-    shards_override: Option<usize>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_trace(trace)
-        .shards(shards_override)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
-/// Replays a live byte-stream source.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_stream(..).shards(..).run(..)`")]
-pub fn replay_source(
-    source: Box<dyn RoundSource>,
-    shards_override: Option<usize>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_stream(source)
-        .shards(shards_override)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
 }
 
 /// Encodes one trajectory sample for the snapshot's driver payload. The
@@ -1393,49 +1236,9 @@ impl ResumePoint {
     }
 }
 
-/// Resumes a checkpointed run from `snapshot`.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_snapshot(..)` with builder methods")]
-pub fn resume_run(
-    snapshot: Snapshot,
-    options: &RunOptions,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_snapshot(snapshot)
-        .seed(options.seed)
-        .shards(options.shards)
-        .producer(options.producer)
-        .record(options.record.clone())
-        .checkpoint(options.checkpoint.clone(), options.checkpoint_every)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
-/// Resumes a byte-stream replay from `snapshot`.
-///
-/// # Errors
-///
-/// Returns the stringified [`BenchError`].
-#[deprecated(note = "use `Session::from_snapshot(..).stream(..).shards(..).run(..)`")]
-pub fn resume_replay(
-    snapshot: Snapshot,
-    source: Box<dyn RoundSource>,
-    shards_override: Option<usize>,
-    on_sample: impl FnMut(&RoundSample),
-) -> Result<ScenarioOutcome, String> {
-    Session::from_snapshot(snapshot)
-        .stream(source)
-        .shards(shards_override)
-        .run(on_sample)
-        .map_err(|err| err.to_string())
-}
-
 /// What drives a run's event stream (internal face of [`Session`]).
 enum Feed {
-    /// The scenario's own generator, inline or behind channels per
+    /// The scenario's own generator, inline or behind a merge per
     /// [`RunOptions::producer`].
     Generate,
     /// A fully parsed recorded trace (boxed: traces dwarf the other
@@ -1559,22 +1362,12 @@ fn execute(
 
     let mut engine = Engine::build(&scenario, Arc::clone(&graph), &speeds, &initial, seed)?;
     // One plan for every churn event, built up front: the driver swaps in
-    // the prebuilt graphs, and a channel producer follows the speeds.
+    // the prebuilt graphs, and merge producers follow the speeds.
     let schedule = churn_schedule(class, &scenario, &graph, &speeds).map_err(BenchError::Run)?;
     let mut source = match feed {
-        Feed::Trace(trace) => {
-            let (session, handle) = spawn_trace_producer(trace.rounds, DEFAULT_CHANNEL_CAPACITY);
-            EventSource::Channel {
-                session,
-                producer: Some(handle),
-            }
-        }
+        Feed::Trace(trace) => spawn_trace_producer(trace.rounds, DEFAULT_CHANNEL_CAPACITY),
         Feed::Source(stream_source) => {
-            let (session, handle) = spawn_source_producer(stream_source, DEFAULT_CHANNEL_CAPACITY);
-            EventSource::Channel {
-                session,
-                producer: Some(handle),
-            }
+            spawn_source_producer(stream_source, DEFAULT_CHANNEL_CAPACITY)
         }
         Feed::Merge(session) => EventSource::Merge {
             session,
@@ -1582,40 +1375,19 @@ fn execute(
         },
         Feed::Generate => {
             let stream = ScenarioEvents::new(&scenario, &speeds, first_task_id);
-            let speeds_schedule = || {
-                schedule
-                    .iter()
-                    .map(|step| (step.round, step.speeds.clone()))
-                    .collect()
-            };
             match options.producer {
                 Producer::Scenario => EventSource::Sync(stream),
-                Producer::Channel { capacity } => {
-                    let (session, handle) = spawn_scenario_producer(
-                        stream,
-                        speeds_schedule(),
-                        scenario.rounds,
-                        capacity,
-                    );
-                    EventSource::Channel {
-                        session,
-                        producer: Some(handle),
-                    }
-                }
                 Producer::Merge { feeds, capacity } => {
                     if feeds == 0 || feeds > MAX_MERGE_FEEDS {
                         return Err(BenchError::usage(format!(
                             "merge feeds must be in 1..={MAX_MERGE_FEEDS}, got {feeds}"
                         )));
                     }
-                    let (session, producers) = spawn_merge_producers(
-                        stream,
-                        speeds_schedule(),
-                        scenario.rounds,
-                        feeds,
-                        capacity,
-                    );
-                    EventSource::Merge { session, producers }
+                    let schedule = schedule
+                        .iter()
+                        .map(|step| (step.round, step.speeds.clone()))
+                        .collect();
+                    spawn_merge_producers(stream, schedule, scenario.rounds, feeds, capacity)
                 }
             }
         }
@@ -1740,7 +1512,7 @@ fn execute(
             }
         }
     }
-    let ingest = source.finish()?;
+    let ingest = source.finish(scenario.rounds)?;
     if let Some(writer) = writer {
         writer.finish().map_err(BenchError::Io)?;
     }
@@ -1891,12 +1663,13 @@ mod tests {
     }
 
     #[test]
-    fn channel_producer_matches_sync_bit_for_bit() {
-        // The ingestion contract at driver level: the same scenario and seed
-        // produce byte-identical result JSON whether events are generated
-        // inline or streamed through the SPSC channel — including across
-        // churn, which the channel producer follows via its precomputed
-        // speeds schedule.
+    fn merge_producer_matches_sync_bit_for_bit() {
+        // The ingestion contract at driver level: N feeds each sending a
+        // contiguous slice of every batch, k-way merged back, produce
+        // byte-identical result JSON — including across rewire and resize
+        // churn, which the producers follow via their precomputed speeds
+        // schedule, and with a one-batch channel that keeps every producer
+        // in lockstep with the engine.
         let mut scenario = poisson_scenario();
         scenario.churn = vec![
             ChurnEvent {
@@ -1912,40 +1685,16 @@ mod tests {
             },
         ];
         let sync = Session::from_scenario(&scenario).run(|_| {}).unwrap();
-        for capacity in [1, 4] {
-            let channel = Session::from_scenario(&scenario)
-                .producer(Producer::Channel { capacity })
-                .run(|_| {})
-                .unwrap();
-            assert_eq!(
-                sync.to_json().render_pretty(),
-                channel.to_json().render_pretty(),
-                "capacity {capacity}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_producer_matches_sync_bit_for_bit() {
-        // The multi-producer contract at driver level: N feeds each sending
-        // a contiguous slice of every batch, k-way merged back, produce
-        // byte-identical result JSON — including across churn.
-        let mut scenario = poisson_scenario();
-        scenario.churn = vec![ChurnEvent {
-            round: 30,
-            kind: ChurnKind::Rewire { seed: 9 },
-        }];
-        let sync = Session::from_scenario(&scenario).run(|_| {}).unwrap();
         assert!(sync.ingest.is_none(), "sync runs carry no ingest report");
-        for feeds in [1usize, 2, 4] {
+        for (feeds, capacity) in [(1usize, 1usize), (1, 4), (2, 2), (4, 2)] {
             let merged = Session::from_scenario(&scenario)
-                .producer(Producer::Merge { feeds, capacity: 2 })
+                .producer(Producer::Merge { feeds, capacity })
                 .run(|_| {})
                 .unwrap();
             assert_eq!(
                 sync.to_json().render_pretty(),
                 merged.to_json().render_pretty(),
-                "feeds {feeds}"
+                "feeds {feeds}, capacity {capacity}"
             );
             let stats = merged.ingest.expect("merged runs report ingest stats");
             assert_eq!(stats.get("producer").and_then(Json::as_str), Some("merge"));
@@ -2042,6 +1791,37 @@ mod tests {
         assert_eq!(sharded.scenario.shards, 3);
         assert_eq!(recorded.trajectory, sharded.trajectory);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_replay_reports_one_drained_merge_feed() {
+        // Trace replay ingests through a one-feed merge, so its out-of-band
+        // report has the one ingest-stats shape: producer "merge", exactly
+        // one feed carrying every non-empty recorded round, drained.
+        let path = lb_analysis::artifact::unique_temp_path("lb_dynamic_replay_stats.trace.jsonl");
+        Session::from_scenario(&poisson_scenario())
+            .record(path.clone())
+            .run(|_| {})
+            .unwrap();
+        let trace = lb_workloads::Trace::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let non_empty = trace
+            .rounds
+            .iter()
+            .filter(|round| !round.arrivals.is_empty() || !round.completions.is_empty())
+            .count() as u64;
+        assert!(non_empty > 0, "the scenario generates events");
+        let replayed = Session::from_trace(trace).run(|_| {}).unwrap();
+        let stats = replayed.ingest.expect("replays report ingest stats");
+        assert_eq!(stats.get("producer").and_then(Json::as_str), Some("merge"));
+        let feeds = stats.get("feeds").and_then(Json::as_array).unwrap();
+        assert_eq!(feeds.len(), 1, "one feed: {feeds:?}");
+        assert_eq!(feeds[0].get("feed").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            feeds[0].get("batches").and_then(Json::as_u64),
+            Some(non_empty)
+        );
+        assert_eq!(feeds[0].get("drained"), Some(&Json::Bool(true)));
     }
 
     #[test]
@@ -2403,8 +2183,22 @@ mod tests {
         let scenario = churned_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
         let (outcome, snap25, snap50) = run_with_checkpoints(&scenario, "producers");
         for (snap, producer, label) in [
-            (&snap25, Producer::Channel { capacity: 2 }, "channel@25"),
-            (&snap50, Producer::Channel { capacity: 1 }, "channel@50"),
+            (
+                &snap25,
+                Producer::Merge {
+                    feeds: 1,
+                    capacity: 2,
+                },
+                "merge1@25",
+            ),
+            (
+                &snap50,
+                Producer::Merge {
+                    feeds: 1,
+                    capacity: 1,
+                },
+                "merge1@50",
+            ),
             (
                 &snap25,
                 Producer::Merge {

@@ -6,8 +6,8 @@
 //! to `BENCH_hotpath.json` so the performance trajectory is tracked — and
 //! CI-gated via `lb bench-check` — from this change onward.
 //!
-//! Run with: `lb hotpath [--quick]` (or the legacy
-//! `cargo run --release -p lb-bench --bin hotpath [-- --quick]` shim).
+//! Run with: `lb hotpath [--quick]`
+//! (`cargo run --release -p lb-bench --bin lb -- hotpath [--quick]`).
 
 use crate::harness::{standard_initial_load, GraphClass};
 use crate::parallel::worker_threads;
@@ -679,9 +679,12 @@ const CHURN_DELTA_EDGES: usize = 16;
 /// hence non-hypercube) `i ↔ i^3` chord there instead. Every endpoint is
 /// distinct, so the delta touches exactly `4·Δ` node slots.
 fn churn_delta(n: usize) -> lb_graph::GraphDelta {
-    assert!(8 * CHURN_DELTA_EDGES <= n, "graph too small for churn delta");
-    let removed = (0..CHURN_DELTA_EDGES).map(|j| (8 * j, 8 * j ^ 1));
-    let added = (0..CHURN_DELTA_EDGES).map(|j| (8 * j, 8 * j ^ 3));
+    assert!(
+        8 * CHURN_DELTA_EDGES <= n,
+        "graph too small for churn delta"
+    );
+    let removed = (0..CHURN_DELTA_EDGES).map(|j| (8 * j, (8 * j) ^ 1));
+    let added = (0..CHURN_DELTA_EDGES).map(|j| (8 * j, (8 * j) ^ 3));
     lb_graph::GraphDelta::new(n, added, removed).expect("churn delta is canonical")
 }
 
@@ -708,7 +711,9 @@ fn run_churn_bench(quick: bool) -> Json {
     let (load_per_node, rounds, trials) = if quick { (2, 30, 2) } else { (2, 120, 3) };
 
     let run_loop = |patch: bool, rounds: usize| -> EngineResult {
-        let graph: Arc<Graph> = lb_graph::generators::hypercube(dim).expect("hypercube builds").into();
+        let graph: Arc<Graph> = lb_graph::generators::hypercube(dim)
+            .expect("hypercube builds")
+            .into();
         let n = graph.node_count();
         let d = graph.max_degree() as u64;
         let speeds = Speeds::uniform(n);
@@ -778,7 +783,9 @@ fn run_churn_bench(quick: bool) -> Json {
     // next to the full rebuild it replaces. Patch cost is a copy walk plus
     // O(Δ·d) recompute; rebuild cost is the full O(m) alpha derivation.
     let scale = |dim: u32| -> Json {
-        let graph: Arc<Graph> = lb_graph::generators::hypercube(dim).expect("hypercube builds").into();
+        let graph: Arc<Graph> = lb_graph::generators::hypercube(dim)
+            .expect("hypercube builds")
+            .into();
         let n = graph.node_count();
         let speeds = Speeds::uniform(n);
         let fos = Fos::new(Arc::clone(&graph), &speeds, AlphaScheme::MaxDegreePlusOne)
@@ -790,9 +797,7 @@ fn run_churn_bench(quick: bool) -> Json {
         let mut rebuild_secs = f64::INFINITY;
         for _ in 0..reps {
             let start = Instant::now();
-            let patched = fos
-                .patched(Arc::clone(&next), &delta)
-                .expect("FOS patches");
+            let patched = fos.patched(Arc::clone(&next), &delta).expect("FOS patches");
             patch_secs = patch_secs.min(start.elapsed().as_secs_f64());
             drop(patched);
             let start = Instant::now();

@@ -22,35 +22,18 @@
 //! * [`cli`] — the unified `lb` binary: `lb run <scenario.json>`,
 //!   `lb serve`, `lb table1 … lb dynamic_arrivals [--quick]`, `lb hotpath`,
 //!   the CI perf-regression gate `lb bench-check`, and the static-analysis
-//!   pass `lb lint` (rules R01–R06 from the `lb-lint` crate: determinism,
+//!   pass `lb lint` (rules R01–R05 from the `lb-lint` crate: determinism,
 //!   checked narrowing, typed errors, atomic artefacts, zero-alloc hot
-//!   paths, no deprecated driver calls; exit 0 clean / 1 findings).
+//!   paths; exit 0 clean / 1 findings).
 //! * [`hotpath`] — the engine-vs-seed-semantics throughput benchmark behind
 //!   `BENCH_hotpath.json`.
 //!
-//! The legacy per-experiment binaries (`cargo run -p lb-bench --release
-//! --bin <name>`) are thin shims over the `lb` dispatch. Criterion benches
-//! with the same names exercise reduced configurations under `cargo bench`.
-//!
-//! ## The `Session` driver API
+//! `lb` is the package's only binary. Criterion benches with the
+//! experiments' names exercise reduced configurations under `cargo bench`.
 //!
 //! [`dynamic::Session`] is the single entry point for running, replaying
-//! and resuming scenarios; the former free functions (`run_scenario`,
-//! `run_scenario_with`, `replay_trace`, `replay_source`, `resume_run`,
-//! `resume_replay`) remain as thin deprecated shims. Migration is
-//! mechanical:
-//!
-//! | deprecated call | `Session` form |
-//! |---|---|
-//! | `run_scenario(&s, seed, shards, cb)` | `Session::from_scenario(&s).seed(seed).shards(shards).run(cb)` |
-//! | `run_scenario_with(&s, &opts, cb)` | `Session::from_scenario(&s).producer(p).record(r).checkpoint(c, n).run(cb)` |
-//! | `replay_trace(t, shards, cb)` | `Session::from_trace(t).shards(shards).run(cb)` |
-//! | `replay_source(src, shards, cb)` | `Session::from_stream(src).shards(shards).run(cb)` |
-//! | `resume_run(snap, &opts, cb)` | `Session::from_snapshot(snap).producer(p).record(r).run(cb)` |
-//! | `resume_replay(snap, src, shards, cb)` | `Session::from_snapshot(snap).stream(src).shards(shards).run(cb)` |
-//!
-//! `Session::run` reports failures as a typed [`error::BenchError`] (the
-//! shims stringify it, preserving their old `Result<_, String>` contract).
+//! and resuming scenarios; `Session::run` reports failures as a typed
+//! [`error::BenchError`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

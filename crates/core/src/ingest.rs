@@ -1,20 +1,23 @@
-//! Async event ingestion: a bounded SPSC channel feeding [`RoundEvents`]
-//! batches from an external producer thread into a [`DynamicBalancer`].
+//! Async event ingestion: bounded SPSC channels feeding [`RoundEvents`]
+//! batches from external producer threads into a
+//! [`DynamicBalancer`](crate::discrete::DynamicBalancer).
 //!
 //! The synchronous scenario path materialises each round's events in the
 //! driver loop itself. This module decouples the two halves so a producer —
 //! a trace replayer, a live traffic front-end, a scenario generator running
 //! ahead — can fill batches on its own thread while the engine consumes them
-//! between rounds:
+//! between rounds. Every consumer goes through [`merge::MergeSession`]; a
+//! single producer is simply a one-feed merge:
 //!
 //! ```text
-//! producer thread                         engine (consumer) thread
-//! ───────────────                         ────────────────────────
+//! producer thread(s)                      engine (consumer) thread
+//! ──────────────────                      ────────────────────────
 //! buffer()  ── recycled RoundEvents ◄──┐
 //! fill batch for round r               │
-//! send(r, batch)  ──► bounded queue ──►│ IngestSession::apply_round(r)
-//! (blocks when full)                   │   · applies the batch between
-//!                                      │     rounds, then recycles it
+//! send(r, batch)  ──► bounded queue ──►│ MergeSession::apply_round(r)
+//! (blocks when full)   (one per feed)  │   · coalesces the feeds' batches,
+//!                                      │     applies them between rounds,
+//!                                      │     then recycles the buffers
 //!                                      └── · engine.step() stays zero-alloc
 //! ```
 //!
@@ -43,14 +46,13 @@
 //! # Determinism
 //!
 //! The channel changes *where* batches are produced, never *what* they
-//! contain or *when* they are applied: [`IngestSession::apply_round`] applies
-//! the batch for round `r` before round `r` executes, exactly where the
-//! synchronous driver applies it. For the same event stream the sync path
-//! and the channel path are therefore bit-identical
+//! contain or *when* they are applied: [`merge::MergeSession::apply_round`]
+//! applies the batch for round `r` before round `r` executes, exactly where
+//! the synchronous driver applies it. For the same event stream the sync
+//! path and the channel path are therefore bit-identical
 //! (`tests/ingest_equivalence.rs`).
 
-use crate::discrete::{DynamicBalancer, EventReport, RoundEvents};
-use crate::error::CoreError;
+use crate::discrete::RoundEvents;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -235,8 +237,8 @@ impl Drop for EventProducer {
     }
 }
 
-/// The receiving half: owned by the engine thread, usually wrapped in an
-/// [`IngestSession`].
+/// The receiving half: owned by the engine thread, usually wrapped in a
+/// [`merge::MergeSession`] feed.
 pub struct EventConsumer {
     shared: Arc<Shared>,
 }
@@ -285,159 +287,11 @@ impl Drop for EventConsumer {
     }
 }
 
-/// Consumer-side round sequencer: pulls round-tagged batches off an
-/// [`EventConsumer`] and hands each one to the engine **between** rounds,
-/// holding batches for future rounds until their round comes up.
-pub struct IngestSession {
-    consumer: EventConsumer,
-    /// A received batch whose round has not come up yet.
-    pending: Option<(u64, RoundEvents)>,
-    /// The stream ended (producer gone, queue drained).
-    ended: bool,
-    report: EventReport,
-    batches: u64,
-    events: u64,
-}
-
-impl IngestSession {
-    /// Wraps the consumer half of a [`bounded`] channel.
-    pub fn new(consumer: EventConsumer) -> Self {
-        IngestSession {
-            consumer,
-            pending: None,
-            ended: false,
-            report: EventReport::default(),
-            batches: 0,
-            events: 0,
-        }
-    }
-
-    /// Takes the batch tagged `round` off the channel, if there is one:
-    /// `Some` with the batch, `None` when this round has no events (the next
-    /// batch is tagged later, or the stream ended).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if the next batch is tagged
-    /// with an earlier round — the producer violated the ordering protocol.
-    fn take_round(&mut self, round: u64) -> Result<Option<RoundEvents>, CoreError> {
-        if self.pending.is_none() && !self.ended {
-            match self.consumer.recv() {
-                Some(batch) => self.pending = Some(batch),
-                None => self.ended = true,
-            }
-        }
-        match &self.pending {
-            Some((tag, _)) if *tag < round => Err(CoreError::invalid_parameter(format!(
-                "ingest protocol violation: batch for round {tag} arrived while \
-                 applying round {round}"
-            ))),
-            Some((tag, _)) if *tag == round => {
-                // lint: allow(R03, the match arm proves pending is Some)
-                let (_, events) = self.pending.take().expect("pending batch");
-                self.batches += 1;
-                self.events += (events.arrivals.len() + events.completions.len()) as u64;
-                Ok(Some(events))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Copies the events for `round` into `out` (cleared first); `out` stays
-    /// empty when the round has no batch. Allocation-free once `out` has
-    /// grown to the working batch size. Use this when the driver needs to
-    /// observe the batch (e.g. to record it to a trace) before applying it;
-    /// otherwise [`apply_round`](IngestSession::apply_round) avoids the copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on an out-of-order batch.
-    pub fn fill_round(&mut self, round: u64, out: &mut RoundEvents) -> Result<(), CoreError> {
-        out.clear();
-        if let Some(events) = self.take_round(round)? {
-            out.arrivals.clone_from(&events.arrivals);
-            out.completions.clone_from(&events.completions);
-            self.consumer.recycle(events);
-        }
-        Ok(())
-    }
-
-    /// Applies the batch for `round` (if any) to `engine` and recycles the
-    /// buffer. Call between rounds, before `round` executes — the same point
-    /// the synchronous driver applies events, so both paths are
-    /// bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] on an out-of-order batch or
-    /// when the engine rejects an event (unknown node, weighted arrival on
-    /// Algorithm 2).
-    // lint: zero-alloc
-    pub fn apply_round(
-        &mut self,
-        round: u64,
-        engine: &mut dyn DynamicBalancer,
-    ) -> Result<EventReport, CoreError> {
-        let Some(events) = self.take_round(round)? else {
-            return Ok(EventReport::default());
-        };
-        let result = if events.is_empty() {
-            Ok(EventReport::default())
-        } else {
-            engine.apply_events(&events)
-        };
-        self.consumer.recycle(events);
-        let report = result?;
-        self.report.absorb(report);
-        Ok(report)
-    }
-
-    /// Totals across every batch applied through
-    /// [`apply_round`](IngestSession::apply_round).
-    pub fn report(&self) -> EventReport {
-        self.report
-    }
-
-    /// Whether the producer hung up and every sent batch has been consumed.
-    pub fn ended(&self) -> bool {
-        self.ended && self.pending.is_none()
-    }
-
-    /// A snapshot of the underlying channel's backpressure counters.
-    pub fn metrics(&self) -> ChannelMetrics {
-        self.consumer.metrics()
-    }
-
-    /// Batches consumed off the channel so far (via either
-    /// [`fill_round`](IngestSession::fill_round) or
-    /// [`apply_round`](IngestSession::apply_round)).
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Events (arrivals + completions) consumed off the channel so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::continuous::Fos;
-    use crate::discrete::{DiscreteBalancer, FlowImitation, TaskPicker};
-    use crate::load::InitialLoad;
-    use crate::task::{Speeds, Task, TaskId};
-    use lb_graph::{generators, AlphaScheme};
+    use crate::task::{Task, TaskId};
     use std::thread;
-
-    fn engine() -> FlowImitation<Fos> {
-        let g = generators::torus(4, 4).unwrap();
-        let speeds = Speeds::uniform(16);
-        let initial = InitialLoad::single_source(16, 0, 64);
-        let fos = Fos::new(g, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
-        FlowImitation::new(fos, &initial, speeds, TaskPicker::Fifo).unwrap()
-    }
 
     #[test]
     fn batches_cross_the_channel_in_order() {
@@ -529,69 +383,6 @@ mod tests {
         tx.send(3, batch).unwrap();
         let batch = tx.buffer();
         let _ = tx.send(3, batch);
-    }
-
-    #[test]
-    fn session_applies_batches_between_rounds() {
-        let (mut tx, rx) = bounded(4);
-        let handle = thread::spawn(move || {
-            // Rounds 1 and 3 carry events; rounds 0 and 2 are skipped.
-            for round in [1u64, 3] {
-                let mut batch = tx.buffer();
-                batch
-                    .arrivals
-                    .push((3, Task::new(TaskId(1_000 + round), 1)));
-                tx.send(round, batch).unwrap();
-            }
-        });
-        let mut session = IngestSession::new(rx);
-        let mut alg1 = engine();
-        for round in 0..6u64 {
-            let report = session.apply_round(round, &mut alg1).unwrap();
-            let expect = u64::from(round == 1 || round == 3);
-            assert_eq!(report.arrived_tasks, expect, "round {round}");
-            alg1.step();
-        }
-        assert_eq!(session.report().arrived_tasks, 2);
-        assert_eq!(session.report().arrived_weight, 2);
-        assert!(session.ended(), "stream fully drained");
-        assert_eq!(alg1.arrived_weight(), 2);
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn session_reports_out_of_order_batches() {
-        let (mut tx, rx) = bounded(4);
-        let batch = tx.buffer();
-        tx.send(0, batch).unwrap();
-        drop(tx);
-        let mut session = IngestSession::new(rx);
-        let mut alg1 = engine();
-        // Asking for round 2 while the batch for round 0 is pending is a
-        // protocol violation on the consumer side.
-        let err = session.apply_round(2, &mut alg1).unwrap_err();
-        assert!(err.to_string().contains("protocol violation"), "{err}");
-    }
-
-    #[test]
-    fn fill_round_copies_and_recycles() {
-        let (mut tx, rx) = bounded(4);
-        let mut batch = tx.buffer();
-        batch.arrivals.push((2, Task::new(TaskId(9), 1)));
-        batch.completions.push((0, 3));
-        tx.send(4, batch).unwrap();
-        drop(tx);
-        let mut session = IngestSession::new(rx);
-        let mut out = RoundEvents::default();
-        out.arrivals.push((0, Task::new(TaskId(0), 1))); // stale content
-        session.fill_round(3, &mut out).unwrap();
-        assert!(out.is_empty(), "round 3 has no batch; out is cleared");
-        session.fill_round(4, &mut out).unwrap();
-        assert_eq!(out.arrivals.len(), 1);
-        assert_eq!(out.completions, vec![(0, 3)]);
-        session.fill_round(5, &mut out).unwrap();
-        assert!(out.is_empty());
-        assert!(session.ended());
     }
 
     #[test]

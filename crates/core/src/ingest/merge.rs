@@ -26,8 +26,8 @@
 //!   contiguous per-round slices merges back to the *identical batch*.
 //! * **Hang-up degradation** — a feed whose producer hangs up simply stops
 //!   contributing; the merge continues over the remaining feeds. All feeds
-//!   closed means every remaining round is event-free (same as the
-//!   single-channel contract).
+//!   closed means every remaining round is event-free (a trace shorter
+//!   than the run is not an error).
 //! * **Ordering errors** — a batch tagged earlier than the round being
 //!   applied is a protocol error ([`crate::CoreError::InvalidParameter`]):
 //!   the session reports it and leaves the engine untouched.
@@ -141,8 +141,8 @@ impl FeedRegistrar {
 
 /// Consumer-side k-way merge over N event feeds: pulls each feed's
 /// round-tagged batches and hands the engine one coalesced, strictly
-/// round-ordered batch per round — the multi-producer counterpart of
-/// [`super::IngestSession`].
+/// round-ordered batch per round. It is the one consumer-side sequencer:
+/// a single producer is a one-feed merge.
 pub struct MergeSession {
     feeds: Vec<Feed>,
     /// Feeds registered through a [`FeedRegistrar`], awaiting admission.
@@ -487,6 +487,60 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].batches, 2);
         assert_eq!(reports[1].batches, 1);
+    }
+
+    #[test]
+    fn one_feed_applies_batches_between_rounds() {
+        let (mut tx, rx) = bounded(4);
+        let handle = thread::spawn(move || {
+            // Rounds 1 and 3 carry events; rounds 0 and 2 are skipped.
+            for round in [1u64, 3] {
+                let mut batch = tx.buffer();
+                batch.arrivals.push(unit_arrival(3, 1_000 + round));
+                tx.send(round, batch).unwrap();
+            }
+        });
+        let mut session = MergeSession::new(vec![rx]);
+        let mut alg1 = engine();
+        for round in 0..6u64 {
+            let report = session.apply_round(round, &mut alg1).unwrap();
+            let expect = u64::from(round == 1 || round == 3);
+            assert_eq!(report.arrived_tasks, expect, "round {round}");
+            alg1.step();
+        }
+        assert_eq!(session.report().arrived_tasks, 2);
+        assert_eq!(session.report().arrived_weight, 2);
+        assert!(session.ended(), "stream fully drained");
+        assert_eq!(alg1.arrived_weight(), 2);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn one_feed_fill_round_clears_copies_and_recycles() {
+        let (mut tx, rx) = bounded(4);
+        let mut batch = tx.buffer();
+        batch.arrivals.push(unit_arrival(2, 9));
+        batch.completions.push((0, 3));
+        tx.send(4, batch).unwrap();
+        let mut session = MergeSession::new(vec![rx]);
+        let mut out = RoundEvents::default();
+        out.arrivals.push(unit_arrival(0, 0)); // stale content
+        session.fill_round(3, &mut out).unwrap();
+        assert!(out.is_empty(), "round 3 has no batch; out is cleared");
+        session.fill_round(4, &mut out).unwrap();
+        assert_eq!(out.arrivals, vec![unit_arrival(2, 9)]);
+        assert_eq!(out.completions, vec![(0, 3)]);
+        // The drained buffer went back to the feed's spare pool.
+        let reused = tx.buffer();
+        assert!(reused.is_empty(), "recycled buffers come back cleared");
+        assert!(
+            reused.arrivals.capacity() >= 1,
+            "the batch buffer is reused"
+        );
+        drop(tx);
+        session.fill_round(5, &mut out).unwrap();
+        assert!(out.is_empty());
+        assert!(session.ended());
     }
 
     #[test]

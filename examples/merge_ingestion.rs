@@ -2,7 +2,7 @@
 //! file-tailed byte-stream source, and verify both emit result JSON
 //! **byte-identical** to the synchronous run — the live-ingestion contract
 //! behind `lb run --producer merge:<N>` and `lb replay --follow`. Also
-//! prints the per-feed backpressure report that channel-fed runs expose out
+//! prints the per-feed backpressure report that merge-fed runs expose out
 //! of band.
 //!
 //! Run with: `cargo run --release -p lb-bench --example merge_ingestion`

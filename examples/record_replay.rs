@@ -1,5 +1,5 @@
 //! Record a dynamic-workload run to an event trace, then replay the trace
-//! through the async ingestion channel and verify the result document is
+//! through async ingestion (a one-feed merge) and verify the result document is
 //! **byte-identical** — the trace record/replay contract behind
 //! `lb run --record` and `lb replay`.
 //!
@@ -67,19 +67,22 @@ fn main() {
     assert_eq!(a, b, "replayed run diverged from the recorded run");
     println!("replay is byte-identical to the recorded run ✓");
 
-    // The channel producer mode is equally bit-identical — same scenario,
-    // same seed, events streamed through the bounded SPSC channel instead of
-    // generated inline.
-    let channel = Session::from_scenario(&scenario)
-        .producer(Producer::Channel { capacity: 16 })
+    // The merge producer mode is equally bit-identical — same scenario,
+    // same seed, events streamed by one producer thread through a bounded
+    // SPSC channel instead of generated inline.
+    let merged = Session::from_scenario(&scenario)
+        .producer(Producer::Merge {
+            feeds: 1,
+            capacity: 16,
+        })
         .run(|_| {})
-        .expect("channel run succeeds");
+        .expect("merged run succeeds");
     assert_eq!(
         a,
-        channel.to_json().render_pretty(),
-        "channel-driven run diverged from the sync run"
+        merged.to_json().render_pretty(),
+        "merge-driven run diverged from the sync run"
     );
-    println!("channel ingestion is byte-identical to the sync path ✓");
+    println!("one-feed merge ingestion is byte-identical to the sync path ✓");
 
     std::fs::remove_file(&path).ok();
 }

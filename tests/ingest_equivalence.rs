@@ -1,5 +1,5 @@
 //! The async-ingestion contract, end to end: for the same scenario and seed,
-//! the synchronous path, the channel path and a recorded-then-replayed trace
+//! the synchronous path, a one-feed merge and a recorded-then-replayed trace
 //! all produce **byte-identical** result JSON — for every engine combo
 //! (alg1/alg2 × fos/sos), with churn in the stream, and for every shard
 //! count (the acceptance shard counts {1, 4} are pinned here; CI diffs the
@@ -68,7 +68,7 @@ fn temp_trace(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lb_ingest_equivalence_{tag}.trace.jsonl"))
 }
 
-/// The acceptance criterion: sync-driven, channel-driven and trace-replayed
+/// The acceptance criterion: sync-driven, one-feed-merged and trace-replayed
 /// runs emit byte-identical result JSON at shards ∈ {1, 4}, for all four
 /// engine combos, with churn in the stream.
 #[test]
@@ -87,20 +87,23 @@ fn sync_channel_and_replay_are_byte_identical() {
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} sync: {e}"));
             let sync_doc = sync.to_json().render_pretty();
 
-            // Channel run: same batches through the SPSC channel.
+            // One-feed merge: same batches through one SPSC channel.
             let channel = Session::from_scenario(&scenario)
                 .shards(shards)
-                .producer(Producer::Channel { capacity: 3 })
+                .producer(Producer::Merge {
+                    feeds: 1,
+                    capacity: 3,
+                })
                 .run(|_| {})
-                .unwrap_or_else(|e| panic!("{tag} shards={shards} channel: {e}"));
+                .unwrap_or_else(|e| panic!("{tag} shards={shards} merge:1: {e}"));
             assert_eq!(
                 sync_doc,
                 channel.to_json().render_pretty(),
-                "{tag} shards={shards}: channel diverged from sync"
+                "{tag} shards={shards}: one-feed merge diverged from sync"
             );
 
-            // Replay: the recorded trace drives the engine through the
-            // channel; the header pinned the effective seed and shard count.
+            // Replay: the recorded trace drives the engine through a
+            // one-feed merge; the header pinned the effective seed and shard count.
             let trace = Trace::load(&path).expect("trace loads");
             assert_eq!(trace.scenario.shards, shards, "effective shards recorded");
             let replayed = Session::from_trace(trace.clone())

@@ -1,5 +1,5 @@
 //! The multi-producer ingestion contract, end to end: for the same scenario
-//! and seed, the synchronous path, the single channel, the k-way merge over
+//! and seed, the synchronous path, the one-feed merge, the k-way merge over
 //! N feeds and the byte-stream sources (file tail, framed reader) all
 //! produce **byte-identical** result JSON — for every engine combo
 //! (alg1/alg2 × fos/sos), with churn in the stream, at the acceptance shard
@@ -80,7 +80,7 @@ fn temp_trace(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lb_merge_equivalence_{tag}.trace.jsonl"))
 }
 
-/// The acceptance criterion: sync-driven, single-channel, 2-feed-merged and
+/// The acceptance criterion: sync-driven, one-feed-merged, 2-feed-merged and
 /// file-tailed runs all emit byte-identical result JSON at shards ∈ {1, 4},
 /// for all four engine combos, with churn in the stream. The framed-reader
 /// source rides along as the pipe/socket stand-in.
@@ -100,18 +100,19 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
                 .unwrap_or_else(|e| panic!("{tag} shards={shards} sync: {e}"));
             let sync_doc = sync.to_json().render_pretty();
 
-            // Single channel.
+            // One-feed merge: a single channel.
             let channel = Session::from_scenario(&scenario)
                 .shards(shards)
-                .producer(Producer::Channel {
+                .producer(Producer::Merge {
+                    feeds: 1,
                     capacity: DEFAULT_CHANNEL_CAPACITY,
                 })
                 .run(|_| {})
-                .unwrap_or_else(|e| panic!("{tag} shards={shards} channel: {e}"));
+                .unwrap_or_else(|e| panic!("{tag} shards={shards} merge:1: {e}"));
             assert_eq!(
                 sync_doc,
                 channel.to_json().render_pretty(),
-                "{tag} shards={shards}: channel diverged from sync"
+                "{tag} shards={shards}: one-feed merge diverged from sync"
             );
 
             // 2-feed merge.
@@ -158,7 +159,7 @@ fn sync_channel_merge_and_tail_are_byte_identical() {
     }
 }
 
-/// Wider feed counts on one combo: a 1-feed merge is exactly the channel
+/// Wider feed counts on one combo: a 1-feed merge is the single-producer
 /// path, and 3/4-feed merges still reconstruct every batch.
 #[test]
 fn merge_is_byte_identical_across_feed_counts() {

@@ -15,8 +15,8 @@ use lb_core::continuous::{ContinuousRunner, DimensionExchange, Fos};
 use lb_core::discrete::{
     DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents, TaskPicker,
 };
+use lb_core::ingest;
 use lb_core::ingest::merge::MergeSession;
-use lb_core::ingest::{self, IngestSession};
 use lb_core::snapshot::{self, Snapshot};
 use lb_core::{InitialLoad, ShardedExecutor, Speeds, Task, TaskId};
 use lb_graph::{generators, AlphaScheme, Graph};
@@ -247,123 +247,79 @@ fn steady_state_rounds_do_not_allocate() {
         alg2.step_sharded(&mut exec)
     });
 
-    // Channel ingestion: a producer thread streams deterministic batches
-    // through the bounded SPSC channel while the engine drains one batch
-    // between rounds. The allocator counter is global, so the measured
-    // window covers BOTH threads: once buffers circulate (the producer draws
-    // recycled ones via `buffer()`), a steady-state round — produce, send,
-    // receive, apply, recycle, step — must allocate nothing anywhere. The
-    // producer sends more batches than the measured run consumes, so it is
-    // parked on the bounded queue (not exiting) when measurement ends.
-    let fos = Fos::new(Arc::clone(&graph), &speeds, AlphaScheme::MaxDegreePlusOne)
-        .expect("FOS constructs");
-    let mut alg1 = FlowImitation::new(fos, &initial, speeds.clone(), TaskPicker::Fifo)
-        .expect("dimensions agree");
-    let (mut tx, rx) = ingest::bounded(8);
-    let nodes = n;
-    let mut next_id = initial.task_count() as u64;
-    let producer = std::thread::spawn(move || {
-        for round in 0..700u64 {
-            let mut batch = tx.buffer();
-            for k in 0..4u64 {
-                batch
-                    .completions
-                    .push(((round as usize * 13 + 7 * k as usize) % nodes, 1));
-            }
-            for k in 0..4u64 {
-                let task = Task::new(TaskId(next_id), 1);
-                next_id += 1;
-                batch
-                    .arrivals
-                    .push(((round as usize * 31 + k as usize) % nodes, task));
-            }
-            if tx.send(round, batch).is_err() {
-                return; // consumer done; the test is over
-            }
-        }
-    });
-    let mut session = IngestSession::new(rx);
-    let mut round = 0u64;
-    assert_zero_alloc_steady_state("FlowImitation channel ingestion", 400, 100, &mut || {
-        session
-            .apply_round(round, &mut alg1)
-            .expect("batch applies");
-        round += 1;
-        alg1.step();
-    });
-    assert_eq!(session.report().arrived_tasks, 4 * 500);
-    assert!(alg1.completed_weight() > 0);
-    drop(session); // hang up; the blocked producer's next send fails
-    producer.join().expect("producer exits cleanly");
-
-    // Merged ingestion (2 feeds): two producer threads each stream their own
-    // half of the round's events over their own bounded channel, and the
-    // MergeSession coalesces the halves between rounds. The counter is
-    // global, so the measured window covers all three threads: once the
-    // session's scratch and every circulating buffer are warm, a steady-state
-    // round — two produces, two sends, k-way coalesce, apply, recycle, step —
-    // must allocate nothing anywhere. Feed 0 carries the completions and the
-    // even arrivals, feed 1 the odd arrivals (disjoint task ids), keeping the
-    // total load steady.
-    let fos = Fos::new(Arc::clone(&graph), &speeds, AlphaScheme::MaxDegreePlusOne)
-        .expect("FOS constructs");
-    let mut alg1 = FlowImitation::new(fos, &initial, speeds.clone(), TaskPicker::Fifo)
-        .expect("dimensions agree");
-    let mut consumers = Vec::new();
-    let mut merge_producers = Vec::new();
-    let base_id = initial.task_count() as u64;
-    for feed in 0..2u64 {
-        let (mut tx, rx) = ingest::bounded(8);
-        consumers.push(rx);
-        let nodes = n;
-        merge_producers.push(std::thread::spawn(move || {
-            for round in 0..700u64 {
-                let mut batch = tx.buffer();
-                if feed == 0 {
-                    for k in 0..4u64 {
+    // Merged ingestion at 1 and 2 feeds: producer threads each stream
+    // their own share of the round's events over their own bounded SPSC
+    // channel, and the MergeSession coalesces the shares between rounds
+    // (one feed is the plain single-producer case). The counter is global,
+    // so the measured window covers every thread: once the session's
+    // scratch and every circulating buffer are warm (producers draw
+    // recycled buffers via `buffer()`), a steady-state round — produce,
+    // send, k-way coalesce, apply, recycle, step — must allocate nothing
+    // anywhere. Feed 0 carries the completions; arrival k goes to feed
+    // k % feeds (disjoint task ids), keeping the total load steady. The
+    // producers send more batches than the measured run consumes, so they
+    // are parked on their bounded queues (not exiting) when measurement
+    // ends.
+    for feeds in [1u64, 2] {
+        let fos = Fos::new(Arc::clone(&graph), &speeds, AlphaScheme::MaxDegreePlusOne)
+            .expect("FOS constructs");
+        let mut alg1 = FlowImitation::new(fos, &initial, speeds.clone(), TaskPicker::Fifo)
+            .expect("dimensions agree");
+        let mut consumers = Vec::new();
+        let mut producers = Vec::new();
+        let base_id = initial.task_count() as u64;
+        for feed in 0..feeds {
+            let (mut tx, rx) = ingest::bounded(8);
+            consumers.push(rx);
+            let nodes = n;
+            producers.push(std::thread::spawn(move || {
+                for round in 0..700u64 {
+                    let mut batch = tx.buffer();
+                    if feed == 0 {
+                        for k in 0..4u64 {
+                            batch
+                                .completions
+                                .push(((round as usize * 13 + 7 * k as usize) % nodes, 1));
+                        }
+                    }
+                    for k in (feed..4).step_by(feeds as usize) {
+                        let task = Task::new(TaskId(base_id + round * 4 + k), 1);
                         batch
-                            .completions
-                            .push(((round as usize * 13 + 7 * k as usize) % nodes, 1));
+                            .arrivals
+                            .push(((round as usize * 31 + k as usize) % nodes, task));
+                    }
+                    if tx.send(round, batch).is_err() {
+                        return; // consumer done; the test is over
                     }
                 }
-                for k in 0..2u64 {
-                    let id = base_id + round * 4 + 2 * k + feed;
-                    let task = Task::new(TaskId(id), 1);
-                    batch.arrivals.push((
-                        (round as usize * 31 + (2 * k + feed) as usize) % nodes,
-                        task,
-                    ));
-                }
-                if tx.send(round, batch).is_err() {
-                    return; // consumer done; the test is over
-                }
-            }
-        }));
-    }
-    let mut session = MergeSession::new(consumers);
-    let mut round = 0u64;
-    assert_zero_alloc_steady_state(
-        "FlowImitation merged ingestion (2 feeds)",
-        400,
-        100,
-        &mut || {
-            session
-                .apply_round(round, &mut alg1)
-                .expect("merged batch applies");
-            round += 1;
-            alg1.step();
-        },
-    );
-    assert_eq!(session.report().arrived_tasks, 4 * 500);
-    assert!(session.report().completed_weight > 0);
-    let reports = session.feed_reports();
-    assert_eq!(reports.len(), 2);
-    assert!(
-        reports.iter().all(|r| r.batches == 500),
-        "both feeds fed every measured round"
-    );
-    drop(session); // hang up; both blocked producers' next sends fail
-    for producer in merge_producers {
-        producer.join().expect("merge producer exits cleanly");
+            }));
+        }
+        let mut session = MergeSession::new(consumers);
+        let mut round = 0u64;
+        assert_zero_alloc_steady_state(
+            &format!("FlowImitation merged ingestion ({feeds} feed(s))"),
+            400,
+            100,
+            &mut || {
+                session
+                    .apply_round(round, &mut alg1)
+                    .expect("merged batch applies");
+                round += 1;
+                alg1.step();
+            },
+        );
+        assert_eq!(session.report().arrived_tasks, 4 * 500);
+        assert!(session.report().completed_weight > 0);
+        assert!(alg1.completed_weight() > 0);
+        let reports = session.feed_reports();
+        assert_eq!(reports.len(), feeds as usize);
+        assert!(
+            reports.iter().all(|r| r.batches == 500),
+            "every feed fed every measured round"
+        );
+        drop(session); // hang up; every blocked producer's next send fails
+        for producer in producers {
+            producer.join().expect("merge producer exits cleanly");
+        }
     }
 }
