@@ -392,7 +392,9 @@ impl DiffusionMatrix {
         true
     }
 
-    fn debug_check(&self, graph: &Graph) {
+    /// Debug-asserts that `graph` has the node and edge counts this matrix
+    /// was built for.
+    pub(crate) fn debug_check(&self, graph: &Graph) {
         debug_assert_eq!(
             graph.node_count(),
             self.n,

@@ -41,6 +41,13 @@ impl Default for PowerIterationOptions {
 ///
 /// Returns a value in `[0, 1]` (clamped against round-off).
 ///
+/// Each iteration applies `M` twice: the Rayleigh step of one iteration is
+/// the next iteration's power step, so it is carried over instead of being
+/// recomputed. The per-edge couplings are computed once, and three `n`-long
+/// buffers rotate through the loop. The float operations and their order
+/// are those of the textbook loop, so the result is bit-for-bit
+/// reproducible (the tests pin it against that loop).
+///
 /// # Panics
 ///
 /// Panics if the matrix was built for a different graph (debug builds) or the
@@ -50,6 +57,7 @@ pub fn second_eigenvalue(
     matrix: &DiffusionMatrix,
     options: PowerIterationOptions,
 ) -> f64 {
+    matrix.debug_check(graph);
     let n = graph.node_count();
     assert!(n > 0, "second_eigenvalue requires a non-empty graph");
     if n == 1 {
@@ -60,24 +68,30 @@ pub fn second_eigenvalue(
     let mut top: Vec<f64> = speeds.iter().map(|s| s.sqrt()).collect();
     normalize(&mut top);
 
-    // Multiply the symmetrised matrix by a vector.
-    let sym_apply = |v: &[f64]| -> Vec<f64> {
-        let mut out = vec![0.0; n];
-        for i in 0..n {
-            out[i] += matrix.diagonal(i) * v[i];
+    // Off-diagonal entries of the symmetrised matrix, one per edge.
+    let edges = graph.edges();
+    let couplings: Vec<f64> = edges
+        .iter()
+        .zip(matrix.alphas())
+        .map(|(&(u, w), &alpha)| alpha / (speeds[u] * speeds[w]).sqrt())
+        .collect();
+    // Multiply the symmetrised matrix by `v` into `out`.
+    let sym_apply = |v: &[f64], out: &mut [f64]| {
+        for (i, (o, &x)) in out.iter_mut().zip(v).enumerate() {
+            // `0.0 +` is the `+=` onto a zeroed buffer it replaces: it
+            // turns a -0.0 product into +0.0, so keep it for bit-identity.
+            *o = 0.0 + matrix.diagonal(i) * x;
         }
-        for (e, &(u, w)) in graph.edges().iter().enumerate() {
-            let coupling = matrix.alpha(e) / (speeds[u] * speeds[w]).sqrt();
+        for (&(u, w), &coupling) in edges.iter().zip(&couplings) {
             out[u] += coupling * v[w];
             out[w] += coupling * v[u];
         }
-        out
     };
     // One iteration step: apply M twice and project away the top eigenvector.
-    let step = |v: &[f64]| -> Vec<f64> {
-        let mut out = sym_apply(&sym_apply(v));
-        deflate(&mut out, &top);
-        out
+    let step = |v: &[f64], scratch: &mut [f64], out: &mut [f64]| {
+        sym_apply(v, scratch);
+        sym_apply(scratch, out);
+        deflate(out, &top);
     };
 
     // Deterministic, generic start vector; deflation removes the top
@@ -88,9 +102,12 @@ pub fn second_eigenvalue(
     deflate(&mut v, &top);
     normalize(&mut v);
 
+    let mut scratch = vec![0.0; n];
+    let mut next = vec![0.0; n];
+    step(&v, &mut scratch, &mut next);
     let mut estimate_sq = 0.0;
     for _ in 0..options.max_iterations {
-        let mut next = step(&v);
+        // `next` holds step(v).
         let norm = l2_norm(&next);
         if norm < 1e-15 {
             // The deflated spectrum is numerically zero.
@@ -99,14 +116,17 @@ pub fn second_eigenvalue(
         for x in &mut next {
             *x /= norm;
         }
+        // `v` is spent: it receives step(next), which is both this
+        // iteration's Rayleigh step and the next iteration's power step.
+        step(&next, &mut scratch, &mut v);
         // Rayleigh quotient of M^2 at the current unit vector: converges to
         // lambda^2 monotonically from below for power iteration.
-        let rayleigh_sq: f64 = dot(&next, &step(&next)).max(0.0);
+        let rayleigh_sq: f64 = dot(&next, &v).max(0.0);
         if (rayleigh_sq - estimate_sq).abs() < options.tolerance {
             return rayleigh_sq.sqrt().clamp(0.0, 1.0);
         }
         estimate_sq = rayleigh_sq;
-        v = next;
+        std::mem::swap(&mut v, &mut next);
     }
     estimate_sq.sqrt().clamp(0.0, 1.0)
 }
@@ -116,7 +136,10 @@ pub fn second_eigenvalue(
 ///
 /// Uses power iteration on `c·I − L` with `c = 2·d_max + 1 ≥ λ_max(L)`,
 /// deflating the all-ones vector (the eigenvector of `L` for eigenvalue 0).
-/// The dominant eigenvalue of the deflated operator is `c − γ`.
+/// The dominant eigenvalue of the deflated operator is `c − γ`. As in
+/// [`second_eigenvalue`], the Rayleigh product of one iteration is carried
+/// over as the next iteration's power product (bit-identical to recomputing
+/// it), and two `n`-long buffers rotate through the loop.
 ///
 /// Returns 0.0 for disconnected graphs (up to numerical tolerance).
 ///
@@ -135,25 +158,26 @@ pub fn laplacian_gap(graph: &Graph, options: PowerIterationOptions) -> f64 {
         normalize(&mut v);
         v
     };
-    let apply = |v: &[f64]| -> Vec<f64> {
+    let apply = |v: &[f64], out: &mut [f64]| {
         // (c I - L) v = c v - D v + A v
-        let mut out: Vec<f64> = (0..n)
-            .map(|i| (c - graph.degree(i) as f64) * v[i])
-            .collect();
+        for (i, (o, &x)) in out.iter_mut().zip(v).enumerate() {
+            *o = (c - graph.degree(i) as f64) * x;
+        }
         for &(u, w) in graph.edges() {
             out[u] += v[w];
             out[w] += v[u];
         }
-        out
     };
     let mut v: Vec<f64> = (0..n)
         .map(|i| ((i as f64) * 1.234_567 + 0.37).cos())
         .collect();
     deflate(&mut v, &ones);
     normalize(&mut v);
+    let mut next = vec![0.0; n];
+    apply(&v, &mut next);
     let mut estimate = 0.0;
     for _ in 0..options.max_iterations {
-        let mut next = apply(&v);
+        // `next` holds apply(v), not yet deflated.
         deflate(&mut next, &ones);
         let norm = l2_norm(&next);
         if norm < 1e-300 {
@@ -162,12 +186,15 @@ pub fn laplacian_gap(graph: &Graph, options: PowerIterationOptions) -> f64 {
         for x in &mut next {
             *x /= norm;
         }
-        let rayleigh = dot(&next, &apply(&next));
+        // `v` is spent: it receives apply(next), this iteration's Rayleigh
+        // product and the next iteration's power product.
+        apply(&next, &mut v);
+        let rayleigh = dot(&next, &v);
         if (rayleigh - estimate).abs() < options.tolerance {
             return (c - rayleigh).max(0.0);
         }
         estimate = rayleigh;
-        v = next;
+        std::mem::swap(&mut v, &mut next);
     }
     (c - estimate).max(0.0)
 }
@@ -318,6 +345,193 @@ mod tests {
         let t_slow = estimate_fos_balancing_time(0.99, 100.0, 64);
         assert!(t_slow > t_fast);
         assert!(estimate_fos_balancing_time(0.0, 1.0, 1) >= 1);
+    }
+
+    /// The textbook loop `second_eigenvalue` replaced: four M-applications
+    /// per iteration, couplings recomputed per edge, fresh vectors per
+    /// step. Kept to pin the fast loop bit for bit.
+    fn second_eigenvalue_reference(
+        graph: &Graph,
+        matrix: &DiffusionMatrix,
+        options: PowerIterationOptions,
+    ) -> f64 {
+        let n = graph.node_count();
+        if n == 1 {
+            return 0.0;
+        }
+        let speeds = matrix.speeds();
+        let mut top: Vec<f64> = speeds.iter().map(|s| s.sqrt()).collect();
+        normalize(&mut top);
+        let sym_apply = |v: &[f64]| -> Vec<f64> {
+            let mut out = vec![0.0; n];
+            for i in 0..n {
+                out[i] += matrix.diagonal(i) * v[i];
+            }
+            for (e, &(u, w)) in graph.edges().iter().enumerate() {
+                let coupling = matrix.alpha(e) / (speeds[u] * speeds[w]).sqrt();
+                out[u] += coupling * v[w];
+                out[w] += coupling * v[u];
+            }
+            out
+        };
+        let step = |v: &[f64]| -> Vec<f64> {
+            let mut out = sym_apply(&sym_apply(v));
+            deflate(&mut out, &top);
+            out
+        };
+        let mut v: Vec<f64> = (0..n)
+            .map(|i| ((i as f64) * 0.754_877_666 + 0.1).sin())
+            .collect();
+        deflate(&mut v, &top);
+        normalize(&mut v);
+        let mut estimate_sq = 0.0;
+        for _ in 0..options.max_iterations {
+            let mut next = step(&v);
+            let norm = l2_norm(&next);
+            if norm < 1e-15 {
+                return 0.0;
+            }
+            for x in &mut next {
+                *x /= norm;
+            }
+            let rayleigh_sq: f64 = dot(&next, &step(&next)).max(0.0);
+            if (rayleigh_sq - estimate_sq).abs() < options.tolerance {
+                return rayleigh_sq.sqrt().clamp(0.0, 1.0);
+            }
+            estimate_sq = rayleigh_sq;
+            v = next;
+        }
+        estimate_sq.sqrt().clamp(0.0, 1.0)
+    }
+
+    /// The textbook loop `laplacian_gap` replaced: two applications per
+    /// iteration and fresh vectors per application.
+    fn laplacian_gap_reference(graph: &Graph, options: PowerIterationOptions) -> f64 {
+        let n = graph.node_count();
+        if n == 1 {
+            return 0.0;
+        }
+        let c = 2.0 * graph.max_degree() as f64 + 1.0;
+        let ones = {
+            let mut v = vec![1.0; n];
+            normalize(&mut v);
+            v
+        };
+        let apply = |v: &[f64]| -> Vec<f64> {
+            let mut out: Vec<f64> = (0..n)
+                .map(|i| (c - graph.degree(i) as f64) * v[i])
+                .collect();
+            for &(u, w) in graph.edges() {
+                out[u] += v[w];
+                out[w] += v[u];
+            }
+            out
+        };
+        let mut v: Vec<f64> = (0..n)
+            .map(|i| ((i as f64) * 1.234_567 + 0.37).cos())
+            .collect();
+        deflate(&mut v, &ones);
+        normalize(&mut v);
+        let mut estimate = 0.0;
+        for _ in 0..options.max_iterations {
+            let mut next = apply(&v);
+            deflate(&mut next, &ones);
+            let norm = l2_norm(&next);
+            if norm < 1e-300 {
+                return c;
+            }
+            for x in &mut next {
+                *x /= norm;
+            }
+            let rayleigh = dot(&next, &apply(&next));
+            if (rayleigh - estimate).abs() < options.tolerance {
+                return (c - rayleigh).max(0.0);
+            }
+            estimate = rayleigh;
+            v = next;
+        }
+        (c - estimate).max(0.0)
+    }
+
+    /// Asserts both estimators equal their reference loops bit for bit, for
+    /// iteration caps 0, 1, 3 and `cap`.
+    fn assert_matches_reference(label: &str, graph: &Graph, matrix: &DiffusionMatrix, cap: usize) {
+        for max_iterations in [0, 1, 3, cap] {
+            let options = PowerIterationOptions {
+                max_iterations,
+                ..PowerIterationOptions::default()
+            };
+            let fast = second_eigenvalue(graph, matrix, options);
+            let reference = second_eigenvalue_reference(graph, matrix, options);
+            assert_eq!(
+                fast.to_bits(),
+                reference.to_bits(),
+                "{label}, cap {max_iterations}: lambda {fast} vs reference {reference}"
+            );
+            let fast = laplacian_gap(graph, options);
+            let reference = laplacian_gap_reference(graph, options);
+            assert_eq!(
+                fast.to_bits(),
+                reference.to_bits(),
+                "{label}, cap {max_iterations}: gamma {fast} vs reference {reference}"
+            );
+        }
+    }
+
+    #[test]
+    fn estimates_are_bit_identical_to_the_reference_loops() {
+        use crate::graph::GraphDelta;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let uniform =
+            |g: &Graph| DiffusionMatrix::uniform(g, AlphaScheme::MaxDegreePlusOne).unwrap();
+        // The default cap: every loop runs to its tolerance exit.
+        let converge = PowerIterationOptions::default().max_iterations;
+
+        let cube = generators::hypercube(10).unwrap();
+        let cube_matrix = uniform(&cube);
+        assert_matches_reference("hypercube(10)", &cube, &cube_matrix, converge);
+        // The benchmark workload's churn: rewire node 0 from 1 to 3. It
+        // splits Q_10's 10-fold second eigenvalue into a cluster that takes
+        // ~14k iterations to settle, so 300 pin the trajectory instead.
+        let delta = GraphDelta::new(cube.node_count(), [(0, 3)], [(0, 1)]).unwrap();
+        let patched = cube.apply_delta(&delta).unwrap();
+        let patched_matrix = cube_matrix.patched(&cube, &patched, &delta).unwrap();
+        assert_matches_reference("hypercube(10) + delta", &patched, &patched_matrix, 300);
+
+        for n in [12, 9] {
+            let cycle = generators::cycle(n).unwrap();
+            let label = format!("cycle({n})");
+            assert_matches_reference(&label, &cycle, &uniform(&cycle), converge);
+        }
+        let torus = generators::torus(8, 8).unwrap();
+        assert_matches_reference("torus(8, 8)", &torus, &uniform(&torus), converge);
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let expander = generators::random_regular(256, 6, &mut rng).unwrap();
+        let speeds: Vec<f64> = (0..256)
+            .map(|i| f64::from(1 << (i % 4)) * 0.75 + 0.5)
+            .collect();
+        let hetero =
+            DiffusionMatrix::new(&expander, &speeds, AlphaScheme::MaxDegreePlusOne).unwrap();
+        let label = "random_regular(256, 6), heterogeneous";
+        assert_matches_reference(label, &expander, &hetero, converge);
+
+        // K_8's deflated spectrum is zero: the `norm < 1e-15` exit.
+        let complete = generators::complete(8).unwrap();
+        assert_matches_reference("complete(8)", &complete, &uniform(&complete), converge);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "edge count mismatch")]
+    fn matrix_for_another_graph_panics_in_debug_builds() {
+        // Same node count, one edge fewer: nothing is indexed out of range,
+        // so only the entry check can catch the mismatch.
+        let cycle = generators::cycle(8).unwrap();
+        let matrix = DiffusionMatrix::uniform(&cycle, AlphaScheme::MaxDegreePlusOne).unwrap();
+        let path = generators::path(8).unwrap();
+        second_eigenvalue(&path, &matrix, PowerIterationOptions::default());
     }
 
     #[test]
