@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn write_and_read_back() {
         let rec = sample_record();
-        let dir = std::env::temp_dir().join("lb_analysis_record_test");
+        let dir = crate::artifact::unique_temp_path("lb_analysis_record_test");
         let path = rec.write_to_dir(&dir).unwrap();
         assert!(path.ends_with("E-test.json"));
         let read = ExperimentRecord::read_from(&path).unwrap();
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn read_invalid_data_fails() {
-        let dir = std::env::temp_dir().join("lb_analysis_record_test_bad");
+        let dir = crate::artifact::unique_temp_path("lb_analysis_record_test_bad");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.json");
         std::fs::write(&path, "not json").unwrap();

@@ -17,7 +17,7 @@
 //! lb table1|table2|theorem3|theorem8|trajectory|heterogeneous|
 //!    dummy_ablation|fos_vs_sos|dynamic_arrivals [--quick]
 //! lb hotpath [--quick] [--shards N]
-//! lb bench-check [--baseline PATH] [--current PATH] [--max-regression PCT]
+//! lb bench-check [--baseline PATH] [--current PATH]
 //! lb lint [--format human|json] [--root PATH] [PATHS…]
 //! lb help
 //! ```
@@ -215,12 +215,10 @@ COMMANDS:
                           [default: min(cores, 8), at least 2; env
                           LB_BENCH_SHARDS]. Explicit values are used verbatim.
     bench-check           Compare BENCH_hotpath.json against the committed
-                          baseline; non-zero exit on regression.
+                          baseline; non-zero exit on a throughput drop of
+                          more than 25% on any gated entry.
         --baseline PATH   Baseline file [default: BENCH_baseline.json].
         --current PATH    Current file [default: BENCH_hotpath.json].
-        --max-regression PCT
-                          Allowed throughput drop in percent [default:
-                          25, or env LB_BENCH_MAX_REGRESSION].
     lint [PATHS...]       Static analysis enforcing the repo contracts at
                           the source level: nondeterminism (R01), truncating
                           casts (R02), panics in library code (R03),
@@ -1113,9 +1111,9 @@ fn serve_trace_lines(path: &str, out: Option<&str>, delay: Duration) -> i32 {
 
 /// Recursively collects every gated throughput leaf of a baseline document
 /// as `(dotted path, value)` pairs. A leaf is gated when its key ends in
-/// `_per_sec` — configuration numbers (`nodes`, `max_regression_percent`,
-/// …) never do — and `config` subtrees (benchmark parameters recorded next
-/// to a metric) are skipped wholesale.
+/// `_per_sec` — configuration numbers (`nodes`, `batch`, …) never do — and
+/// `config` subtrees (benchmark parameters recorded next to a metric) are
+/// skipped wholesale.
 fn gated_metrics(doc: &Json, prefix: &str, out: &mut Vec<(String, f64)>) {
     if let Json::Obj(pairs) = doc {
         for (key, value) in pairs {
@@ -1186,35 +1184,21 @@ fn gate_unit(path: &str) -> &'static str {
     }
 }
 
+/// Allowed throughput drop, in percent of the committed baseline, before
+/// `lb bench-check` fails a gated entry.
+const MAX_REGRESSION_PERCENT: f64 = 25.0;
+
 /// The perf-regression gate: compares the current hot-path throughput
-/// against the committed baseline and fails on a drop beyond the allowance.
+/// against the committed baseline and fails on a drop beyond
+/// [`MAX_REGRESSION_PERCENT`].
 fn cmd_bench_check(args: &[String]) -> i32 {
-    let parsed = match parse_args(
-        args,
-        &["--baseline", "--current", "--max-regression"],
-        &[],
-        0,
-    ) {
+    let parsed = match parse_args(args, &["--baseline", "--current"], &[], 0) {
         Ok(parsed) => parsed,
         Err(err) => return usage_error(&err),
     };
     let verdict = (|| -> Result<bool, String> {
         let baseline_path = parsed.value("--baseline").unwrap_or("BENCH_baseline.json");
         let current_path = parsed.value("--current").unwrap_or("BENCH_hotpath.json");
-        let max_regression: f64 = match parsed.value("--max-regression") {
-            Some(v) => v.parse().map_err(|e| format!("--max-regression: {e}"))?,
-            None => match std::env::var("LB_BENCH_MAX_REGRESSION") {
-                Ok(v) => v
-                    .parse()
-                    .map_err(|e| format!("LB_BENCH_MAX_REGRESSION: {e}"))?,
-                Err(_) => 25.0,
-            },
-        };
-        if !(0.0..100.0).contains(&max_regression) {
-            return Err(format!(
-                "--max-regression must be in [0, 100), got {max_regression}"
-            ));
-        }
 
         let read = |path: &str| -> Result<Json, String> {
             let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -1229,17 +1213,17 @@ fn cmd_bench_check(args: &[String]) -> i32 {
         }
 
         let gate = |label: &str, unit: &str, baseline: f64, current: f64| -> bool {
-            let floor = baseline * (1.0 - max_regression / 100.0);
+            let floor = baseline * (1.0 - MAX_REGRESSION_PERCENT / 100.0);
             let change = (current / baseline - 1.0) * 100.0;
             println!(
                 "bench-check [{label}]: baseline {baseline:.1} {unit}, current \
                  {current:.1} {unit} ({change:+.1}%), allowed regression \
-                 {max_regression}% (floor {floor:.1})"
+                 {MAX_REGRESSION_PERCENT}% (floor {floor:.1})"
             );
             if current < floor {
                 println!(
                     "bench-check [{label}]: FAIL — {unit} regressed more than \
-                     {max_regression}% below the committed baseline"
+                     {MAX_REGRESSION_PERCENT}% below the committed baseline"
                 );
                 false
             } else {
@@ -1250,18 +1234,14 @@ fn cmd_bench_check(args: &[String]) -> i32 {
 
         // Every `_per_sec` leaf the committed baseline carries is gated
         // (re-baseline deliberately to change the set). A gated key that the
-        // measured file no longer reports — a renamed or dropped entry — is a
-        // hard failure, not a silent pass: the gate would otherwise go dark
-        // exactly when the benchmark it guards disappears.
+        // measured file no longer reports — a renamed or dropped entry — or
+        // a non-positive baseline value is a hard failure, not a silent pass:
+        // the gate would otherwise go dark exactly when the benchmark it
+        // guards disappears.
         let mut ok = true;
         for (path, baseline) in &gated {
-            let label = gate_label(path);
             if *baseline <= 0.0 {
-                if path == "rounds_per_sec" {
-                    return Err(format!("{baseline_path}: rounds_per_sec must be positive"));
-                }
-                println!("bench-check [{label}]: non-positive baseline entry, skipped");
-                continue;
+                return Err(format!("{baseline_path}: {path} must be positive"));
             }
             let current = metric_at(&current_doc, path).ok_or_else(|| {
                 format!(
@@ -1269,7 +1249,7 @@ fn cmd_bench_check(args: &[String]) -> i32 {
                      {baseline_path}; re-baseline if the entry was renamed or retired)"
                 )
             })?;
-            ok &= gate(label, gate_unit(path), *baseline, current);
+            ok &= gate(gate_label(path), gate_unit(path), *baseline, current);
         }
         Ok(ok)
     })();
@@ -1344,6 +1324,24 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Fresh baseline/current scratch paths for one `bench-check` test —
+    /// unique per call, so concurrent test runs never share them — and the
+    /// arguments that check the one against the other.
+    fn bench_check_files(name: &str) -> (PathBuf, PathBuf, Vec<String>) {
+        let dir = lb_analysis::artifact::unique_temp_path(name);
+        fs::create_dir_all(&dir).unwrap();
+        let baseline = dir.join("baseline.json");
+        let current = dir.join("current.json");
+        let check = args(&[
+            "bench-check",
+            "--baseline",
+            baseline.to_str().unwrap(),
+            "--current",
+            current.to_str().unwrap(),
+        ]);
+        (baseline, current, check)
+    }
+
     #[test]
     fn unknown_commands_and_empty_args_are_usage_errors() {
         assert_eq!(dispatch(&args(&["no_such_command"])), 2);
@@ -1415,6 +1413,11 @@ mod tests {
             2
         );
         assert_eq!(dispatch(&args(&["replay", "t.jsonl", "--shards", "x"])), 2);
+        // The regression allowance is a constant, not an option.
+        assert_eq!(
+            dispatch(&args(&["bench-check", "--max-regression", "50"])),
+            2
+        );
     }
 
     #[test]
@@ -1483,7 +1486,7 @@ mod tests {
 
     #[test]
     fn serve_trace_drips_lines_verbatim() {
-        let dir = std::env::temp_dir().join("lb_serve_trace_test");
+        let dir = lb_analysis::artifact::unique_temp_path("lb_serve_trace_test");
         fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("trace.jsonl");
         let out = dir.join("served.jsonl");
@@ -1612,55 +1615,44 @@ mod tests {
 
     #[test]
     fn bench_check_gates_on_regression() {
-        let dir = std::env::temp_dir().join("lb_bench_check_test");
-        fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let current = dir.join("current.json");
+        let (baseline, current, check) = bench_check_files("lb_bench_check_test");
         fs::write(&baseline, r#"{"rounds_per_sec": 100.0}"#).unwrap();
 
-        // Within the allowance (25% by default): passes.
+        // Within the 25% allowance: passes.
         fs::write(&current, r#"{"optimized": {"rounds_per_sec": 80.0}}"#).unwrap();
-        let base_args = |extra: &[&str]| {
-            let mut v = args(&[
-                "bench-check",
-                "--baseline",
-                baseline.to_str().unwrap(),
-                "--current",
-                current.to_str().unwrap(),
-            ]);
-            v.extend(extra.iter().map(|s| s.to_string()));
-            v
-        };
-        assert_eq!(dispatch(&base_args(&[])), 0);
+        assert_eq!(dispatch(&check), 0);
 
         // A >25% drop fails.
         fs::write(&current, r#"{"optimized": {"rounds_per_sec": 60.0}}"#).unwrap();
-        assert_eq!(dispatch(&base_args(&[])), 1);
+        assert_eq!(dispatch(&check), 1);
 
-        // …unless the allowance is widened.
-        assert_eq!(dispatch(&base_args(&["--max-regression", "50"])), 0);
-
-        // Bad threshold and missing files are runtime errors.
-        assert_eq!(dispatch(&base_args(&["--max-regression", "150"])), 1);
+        // Missing files are runtime errors.
         fs::remove_file(&current).unwrap();
-        assert_eq!(dispatch(&base_args(&[])), 1);
+        assert_eq!(dispatch(&check), 1);
+    }
+
+    #[test]
+    fn bench_check_fails_on_a_non_positive_baseline_entry() {
+        // A zero floor would pass any measurement: the gate must fail
+        // loudly instead of skipping the entry.
+        let (baseline, current, check) = bench_check_files("lb_bench_check_non_positive_test");
+        fs::write(
+            &baseline,
+            r#"{"rounds_per_sec": 100, "churn": {"rounds_per_sec": 0}}"#,
+        )
+        .unwrap();
+        fs::write(
+            &current,
+            r#"{"optimized": {"rounds_per_sec": 100.0},
+               "churn": {"rounds_per_sec": 100.0}}"#,
+        )
+        .unwrap();
+        assert_eq!(dispatch(&check), 1, "non-positive churn baseline fails");
     }
 
     #[test]
     fn bench_check_gates_the_sharded_entry() {
-        let dir = std::env::temp_dir().join("lb_bench_check_sharded_test");
-        fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let current = dir.join("current.json");
-        let base_args = || {
-            args(&[
-                "bench-check",
-                "--baseline",
-                baseline.to_str().unwrap(),
-                "--current",
-                current.to_str().unwrap(),
-            ])
-        };
+        let (baseline, current, check) = bench_check_files("lb_bench_check_sharded_test");
 
         // Baseline with a sharded entry: the current file must carry one too
         // and stay above the floor.
@@ -1675,7 +1667,7 @@ mod tests {
                "large": {"sharded": {"rounds_per_sec": 45.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "within the allowance");
+        assert_eq!(dispatch(&check), 0, "within the allowance");
 
         // A >25% sharded drop fails even when the main entry is healthy.
         fs::write(
@@ -1684,33 +1676,21 @@ mod tests {
                "large": {"sharded": {"rounds_per_sec": 30.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "sharded regression fails");
+        assert_eq!(dispatch(&check), 1, "sharded regression fails");
 
         // A current file without a sharded entry is an error when the
         // baseline carries one…
         fs::write(&current, r#"{"optimized": {"rounds_per_sec": 100.0}}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "missing sharded entry");
+        assert_eq!(dispatch(&check), 1, "missing sharded entry");
 
         // …but a baseline without one simply skips the sharded gate.
         fs::write(&baseline, r#"{"rounds_per_sec": 100.0}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "no baseline entry, skipped");
+        assert_eq!(dispatch(&check), 0, "no baseline entry, skipped");
     }
 
     #[test]
     fn bench_check_gates_the_ingest_entry() {
-        let dir = std::env::temp_dir().join("lb_bench_check_ingest_test");
-        fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let current = dir.join("current.json");
-        let base_args = || {
-            args(&[
-                "bench-check",
-                "--baseline",
-                baseline.to_str().unwrap(),
-                "--current",
-                current.to_str().unwrap(),
-            ])
-        };
+        let (baseline, current, check) = bench_check_files("lb_bench_check_ingest_test");
 
         fs::write(
             &baseline,
@@ -1726,7 +1706,7 @@ mod tests {
                "ingest": {"channel": {"events_per_sec": 900000.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "within the allowance");
+        assert_eq!(dispatch(&check), 0, "within the allowance");
 
         // A >25% ingestion drop fails even when the hot path is healthy.
         fs::write(
@@ -1735,32 +1715,20 @@ mod tests {
                "ingest": {"channel": {"events_per_sec": 500000.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "ingest regression fails");
+        assert_eq!(dispatch(&check), 1, "ingest regression fails");
 
         // Gated baselines demand the entry in the current file.
         fs::write(&current, r#"{"optimized": {"rounds_per_sec": 100.0}}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "missing ingest entry");
+        assert_eq!(dispatch(&check), 1, "missing ingest entry");
 
         // No baseline entry: the ingest gate is skipped.
         fs::write(&baseline, r#"{"rounds_per_sec": 100.0}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "no baseline entry, skipped");
+        assert_eq!(dispatch(&check), 0, "no baseline entry, skipped");
     }
 
     #[test]
     fn bench_check_gates_the_merge_entry() {
-        let dir = std::env::temp_dir().join("lb_bench_check_merge_test");
-        fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let current = dir.join("current.json");
-        let base_args = || {
-            args(&[
-                "bench-check",
-                "--baseline",
-                baseline.to_str().unwrap(),
-                "--current",
-                current.to_str().unwrap(),
-            ])
-        };
+        let (baseline, current, check) = bench_check_files("lb_bench_check_merge_test");
 
         fs::write(
             &baseline,
@@ -1776,7 +1744,7 @@ mod tests {
                "ingest": {"merge": {"events_per_sec": 900000.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "within the allowance");
+        assert_eq!(dispatch(&check), 0, "within the allowance");
 
         // A >25% merge-stage drop fails even when the hot path is healthy.
         fs::write(
@@ -1785,32 +1753,20 @@ mod tests {
                "ingest": {"merge": {"events_per_sec": 500000.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "merge regression fails");
+        assert_eq!(dispatch(&check), 1, "merge regression fails");
 
         // Gated baselines demand the entry in the current file.
         fs::write(&current, r#"{"optimized": {"rounds_per_sec": 100.0}}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "missing merge entry");
+        assert_eq!(dispatch(&check), 1, "missing merge entry");
 
         // No baseline entry: the merge gate is skipped.
         fs::write(&baseline, r#"{"rounds_per_sec": 100.0}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "no baseline entry, skipped");
+        assert_eq!(dispatch(&check), 0, "no baseline entry, skipped");
     }
 
     #[test]
     fn bench_check_gates_the_snapshot_entries() {
-        let dir = std::env::temp_dir().join("lb_bench_check_snapshot_test");
-        fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let current = dir.join("current.json");
-        let base_args = || {
-            args(&[
-                "bench-check",
-                "--baseline",
-                baseline.to_str().unwrap(),
-                "--current",
-                current.to_str().unwrap(),
-            ])
-        };
+        let (baseline, current, check) = bench_check_files("lb_bench_check_snapshot_test");
 
         fs::write(
             &baseline,
@@ -1828,7 +1784,7 @@ mod tests {
                             "read_restore": {"mb_per_sec": 180.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "within the allowance");
+        assert_eq!(dispatch(&check), 0, "within the allowance");
 
         // A >25% capture-write drop fails even with a healthy restore side.
         fs::write(
@@ -1838,7 +1794,7 @@ mod tests {
                             "read_restore": {"mb_per_sec": 200.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "capture-write regression fails");
+        assert_eq!(dispatch(&check), 1, "capture-write regression fails");
 
         // And vice versa for read+restore.
         fs::write(
@@ -1848,32 +1804,20 @@ mod tests {
                             "read_restore": {"mb_per_sec": 100.0}}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "read-restore regression fails");
+        assert_eq!(dispatch(&check), 1, "read-restore regression fails");
 
         // Gated baselines demand the entry in the current file.
         fs::write(&current, r#"{"optimized": {"rounds_per_sec": 100.0}}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "missing snapshot entry");
+        assert_eq!(dispatch(&check), 1, "missing snapshot entry");
 
         // No baseline entry: both snapshot gates are skipped.
         fs::write(&baseline, r#"{"rounds_per_sec": 100.0}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "no baseline entry, skipped");
+        assert_eq!(dispatch(&check), 0, "no baseline entry, skipped");
     }
 
     #[test]
     fn bench_check_fails_when_a_gated_key_is_missing() {
-        let dir = std::env::temp_dir().join("lb_bench_check_missing_key_test");
-        fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let current = dir.join("current.json");
-        let base_args = || {
-            args(&[
-                "bench-check",
-                "--baseline",
-                baseline.to_str().unwrap(),
-                "--current",
-                current.to_str().unwrap(),
-            ])
-        };
+        let (baseline, current, check) = bench_check_files("lb_bench_check_missing_key_test");
 
         // The baseline gates a churn entry the measured file does not carry —
         // e.g. the benchmark was renamed. That must be a hard failure, not a
@@ -1884,7 +1828,7 @@ mod tests {
         )
         .unwrap();
         fs::write(&current, r#"{"optimized": {"rounds_per_sec": 100.0}}"#).unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "missing churn entry fails");
+        assert_eq!(dispatch(&check), 1, "missing churn entry fails");
 
         // With the entry present and healthy, the gate passes…
         fs::write(
@@ -1893,7 +1837,7 @@ mod tests {
                "churn": {"rounds_per_sec": 95.0}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "churn entry within allowance");
+        assert_eq!(dispatch(&check), 0, "churn entry within allowance");
 
         // …and still fails on an actual regression.
         fs::write(
@@ -1902,7 +1846,7 @@ mod tests {
                "churn": {"rounds_per_sec": 40.0}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 1, "churn regression fails");
+        assert_eq!(dispatch(&check), 1, "churn regression fails");
 
         // Numeric benchmark parameters recorded under `config` subtrees are
         // never gated, even with a `_per_sec`-shaped name.
@@ -1919,6 +1863,6 @@ mod tests {
                "churn": {"rounds_per_sec": 100.0}}"#,
         )
         .unwrap();
-        assert_eq!(dispatch(&base_args()), 0, "config subtrees are not gated");
+        assert_eq!(dispatch(&check), 0, "config subtrees are not gated");
     }
 }

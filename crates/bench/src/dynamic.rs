@@ -1529,6 +1529,7 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lb_analysis::artifact::unique_temp_path;
     use lb_workloads::{
         ArrivalSpec, ChurnEvent, InitialSpec, ServiceSpec, SpeedSpec, TokenDistribution,
         TopologySpec,
@@ -1725,7 +1726,7 @@ mod tests {
         use lb_workloads::{ReadSource, TraceSource};
 
         let scenario = poisson_scenario();
-        let path = std::env::temp_dir().join("lb_dynamic_stream_replay.trace.jsonl");
+        let path = unique_temp_path("lb_dynamic_stream_replay.trace.jsonl");
         let recorded = Session::from_scenario(&scenario)
             .record(path.clone())
             .run(|_| {})
@@ -1761,7 +1762,7 @@ mod tests {
             round: 30,
             kind: ChurnKind::Rewire { seed: 5 },
         }];
-        let path = std::env::temp_dir().join("lb_dynamic_record_replay.trace.jsonl");
+        let path = unique_temp_path("lb_dynamic_record_replay.trace.jsonl");
         let recorded = Session::from_scenario(&scenario)
             .seed(11)
             .record(path.clone())
@@ -1798,7 +1799,7 @@ mod tests {
         // Trace replay ingests through a one-feed merge, so its out-of-band
         // report has the one ingest-stats shape: producer "merge", exactly
         // one feed carrying every non-empty recorded round, drained.
-        let path = lb_analysis::artifact::unique_temp_path("lb_dynamic_replay_stats.trace.jsonl");
+        let path = unique_temp_path("lb_dynamic_replay_stats.trace.jsonl");
         Session::from_scenario(&poisson_scenario())
             .record(path.clone())
             .run(|_| {})
@@ -1827,7 +1828,7 @@ mod tests {
     #[test]
     fn replay_rejects_invalid_shard_overrides() {
         let scenario = poisson_scenario();
-        let path = std::env::temp_dir().join("lb_dynamic_replay_shards.trace.jsonl");
+        let path = unique_temp_path("lb_dynamic_replay_shards.trace.jsonl");
         Session::from_scenario(&scenario)
             .record(path.clone())
             .run(|_| {})
@@ -1885,9 +1886,8 @@ mod tests {
         scenario: &Scenario,
         tag: &str,
     ) -> (ScenarioOutcome, Snapshot, Snapshot) {
-        let dir = std::env::temp_dir();
-        let rotating = dir.join(format!("lb_resume_{tag}.ckpt.jsonl"));
-        let early = dir.join(format!("lb_resume_{tag}.ckpt25.jsonl"));
+        let rotating = unique_temp_path(&format!("lb_resume_{tag}.ckpt.jsonl"));
+        let early = unique_temp_path(&format!("lb_resume_{tag}.ckpt25.jsonl"));
         let outcome = Session::from_scenario(scenario)
             .checkpoint(rotating.clone(), 25)
             .run(|sample| {
@@ -2035,7 +2035,7 @@ mod tests {
             (AlgorithmSpec::Alg2, ModelSpec::Sos, "mid_a2sos"),
         ] {
             let scenario = back_to_back_churn_scenario(algorithm, model);
-            let rotating = std::env::temp_dir().join(format!("lb_resume_{tag}.ckpt.jsonl"));
+            let rotating = unique_temp_path(&format!("lb_resume_{tag}.ckpt.jsonl"));
             let outcome = Session::from_scenario(&scenario)
                 .checkpoint(rotating.clone(), 31)
                 .run(|_| {})
@@ -2222,9 +2222,8 @@ mod tests {
     #[test]
     fn resume_records_the_complete_trace() {
         let scenario = churned_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
-        let dir = std::env::temp_dir();
-        let full = dir.join("lb_resume_record_full.trace.jsonl");
-        let resumed_path = dir.join("lb_resume_record_resumed.trace.jsonl");
+        let full = unique_temp_path("lb_resume_record_full.trace.jsonl");
+        let resumed_path = unique_temp_path("lb_resume_record_resumed.trace.jsonl");
 
         let (_, snap25, _) = run_with_checkpoints(&scenario, "record");
         Session::from_scenario(&scenario)
@@ -2297,7 +2296,7 @@ mod tests {
     #[test]
     fn checkpoint_options_must_come_as_a_pair() {
         let scenario = poisson_scenario();
-        let path = std::env::temp_dir().join("lb_ckpt_pairing.jsonl");
+        let path = unique_temp_path("lb_ckpt_pairing.jsonl");
         let err = Session::from_scenario(&scenario)
             .checkpoint(path.clone(), None)
             .run(|_| {})
@@ -2322,9 +2321,8 @@ mod tests {
         use std::time::Duration;
 
         let scenario = churned_scenario(AlgorithmSpec::Alg1, ModelSpec::Fos);
-        let dir = std::env::temp_dir();
-        let trace_path = dir.join("lb_resume_trace_ckpt.trace.jsonl");
-        let rotating = dir.join("lb_resume_trace_ckpt.snap.jsonl");
+        let trace_path = unique_temp_path("lb_resume_trace_ckpt.trace.jsonl");
+        let rotating = unique_temp_path("lb_resume_trace_ckpt.snap.jsonl");
 
         // One recorded, checkpointed run: the trace and the snapshot come
         // from the same execution, so they embed the same scenario.

@@ -16,7 +16,7 @@ use lb_core::{InitialLoad, Speeds};
 use lb_graph::{generators, AlphaScheme, Graph};
 use std::sync::Arc;
 
-/// Runs the experiment. `quick` shrinks the instance for tests/benches.
+/// Runs the experiment. `quick` shrinks the instance for tests and `lb dummy_ablation --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let clique = if quick { 6 } else { 16 };
     let bridge = if quick { 4 } else { 16 };

@@ -91,7 +91,8 @@ fn steady_peak(trajectory: &[RoundSample], rounds: usize) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Runs the experiment. `quick` shrinks sizes and repeats for tests/benches.
+/// Runs the experiment. `quick` shrinks sizes and repeats for tests and
+/// `lb dynamic_arrivals --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let (n, rounds, repeats) = if quick { (64, 150, 1) } else { (256, 600, 3) };
 

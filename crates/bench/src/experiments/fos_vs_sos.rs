@@ -14,7 +14,7 @@ use lb_core::Speeds;
 use lb_graph::{generators, AlphaScheme, DiffusionMatrix, Graph, PowerIterationOptions};
 use std::sync::Arc;
 
-/// Runs the experiment. `quick` shrinks the instances for tests/benches.
+/// Runs the experiment. `quick` shrinks the instances for tests and `lb fos_vs_sos --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let configs: Vec<(String, Arc<Graph>)> = if quick {
         vec![

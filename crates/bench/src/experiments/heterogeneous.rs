@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Runs the experiment. `quick` shrinks the instance for tests/benches.
+/// Runs the experiment. `quick` shrinks the instance for tests and `lb heterogeneous --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let side = if quick { 6 } else { 24 };
     let graph: Arc<Graph> = generators::torus(side, side).expect("torus builds").into();

@@ -3,8 +3,8 @@
 //!
 //! Every experiment exposes `run(quick) -> ExperimentReport`; `quick = true`
 //! shrinks sizes and repeat counts so the same code path can be exercised by
-//! unit tests and Criterion benches, while the experiment binaries run the
-//! full configuration and write the JSON record used by EXPERIMENTS.md.
+//! unit tests and `lb <name> --quick`, while `lb <name>` runs the full
+//! configuration and writes the JSON record used by EXPERIMENTS.md.
 
 pub mod dummy_ablation;
 pub mod dynamic_arrivals;

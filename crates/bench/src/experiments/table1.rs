@@ -21,7 +21,7 @@ const LOAD_PER_NODE: u64 = 32;
 /// Cap on the continuous balancing-time search.
 const MAX_T: usize = 60_000;
 
-/// Runs the experiment. `quick` shrinks graphs and repeats for tests/benches.
+/// Runs the experiment. `quick` shrinks graphs and repeats for tests and `lb table1 --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let sizes: &[usize] = if quick { &[64] } else { &[256, 1024] };
     let repeats = if quick { 1 } else { 3 };

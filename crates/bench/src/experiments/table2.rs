@@ -16,7 +16,7 @@ const LOAD_PER_NODE: u64 = 32;
 /// rounds than diffusion since only a matching is active per round).
 const MAX_T: usize = 200_000;
 
-/// Runs the experiment. `quick` shrinks graphs and repeats for tests/benches.
+/// Runs the experiment. `quick` shrinks graphs and repeats for tests and `lb table2 --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let n = if quick { 64 } else { 1024 };
     let repeats = if quick { 1 } else { 3 };

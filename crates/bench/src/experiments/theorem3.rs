@@ -46,7 +46,7 @@ fn workload(dim: u32, w_max: u64, tasks_on_source: u64, seed: u64) -> (usize, In
     (n, padded)
 }
 
-/// Runs the experiment. `quick` shrinks the sweeps for tests/benches.
+/// Runs the experiment. `quick` shrinks the sweeps for tests and `lb theorem3 --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let dims: &[u32] = if quick { &[3, 4] } else { &[3, 4, 5, 6, 7] };
     let weights: &[u64] = if quick { &[1, 4] } else { &[1, 2, 4, 8, 16] };

@@ -14,7 +14,7 @@ use lb_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Runs the experiment. `quick` shrinks the sweep for tests/benches.
+/// Runs the experiment. `quick` shrinks the sweep for tests and `lb theorem8 --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let n = if quick { 64 } else { 1024 };
     let degrees: &[usize] = if quick { &[4, 8] } else { &[4, 8, 16, 32, 64] };

@@ -16,7 +16,7 @@ use lb_core::continuous::{ContinuousRunner, Fos};
 use lb_core::{metrics, Speeds};
 use lb_graph::AlphaScheme;
 
-/// Runs the experiment. `quick` shrinks the instance for tests/benches.
+/// Runs the experiment. `quick` shrinks the instance for tests and `lb trajectory --quick`.
 pub fn run(quick: bool) -> ExperimentReport {
     let target_n = if quick { 64 } else { 1024 };
     let samples = 12usize;

@@ -28,8 +28,8 @@
 //! * [`hotpath`] — the engine-vs-seed-semantics throughput benchmark behind
 //!   `BENCH_hotpath.json`.
 //!
-//! `lb` is the package's only binary. Criterion benches with the
-//! experiments' names exercise reduced configurations under `cargo bench`.
+//! `lb` is the package's only binary; `lb <experiment> --quick` runs an
+//! experiment's reduced configuration.
 //!
 //! [`dynamic::Session`] is the single entry point for running, replaying
 //! and resuming scenarios; `Session::run` reports failures as a typed

@@ -1079,7 +1079,7 @@ mod tests {
     #[test]
     fn trace_source_follows_a_growing_file() {
         let text = sample_trace();
-        let path = std::env::temp_dir().join("lb_source_tail_test.trace.jsonl");
+        let path = lb_analysis::artifact::unique_temp_path("lb_source_tail_test.trace.jsonl");
         std::fs::write(&path, "").unwrap();
         let lines: Vec<String> = text.lines().map(str::to_string).collect();
         let writer_path = path.clone();
@@ -1111,7 +1111,7 @@ mod tests {
     #[test]
     fn trace_source_checkpoints_resume() {
         let text = sample_trace();
-        let path = std::env::temp_dir().join("lb_source_resume_test.trace.jsonl");
+        let path = lb_analysis::artifact::unique_temp_path("lb_source_resume_test.trace.jsonl");
         std::fs::write(&path, &text).unwrap();
         let mut source =
             TraceSource::open_with(&path, Duration::from_millis(100), Duration::from_millis(1))
@@ -1141,7 +1141,7 @@ mod tests {
     #[test]
     fn trace_source_times_out_on_a_stalled_tail() {
         let text = sample_trace();
-        let path = std::env::temp_dir().join("lb_source_stall_test.trace.jsonl");
+        let path = lb_analysis::artifact::unique_temp_path("lb_source_stall_test.trace.jsonl");
         // Drop the end record AND tear the last line.
         let torn = &text[..text.len() - 25];
         std::fs::write(&path, torn).unwrap();

@@ -5,6 +5,7 @@
 //! count (the acceptance shard counts {1, 4} are pinned here; CI diffs the
 //! same artefacts via `lb run --record` / `lb replay`).
 
+use lb_analysis::artifact::unique_temp_path;
 use lb_bench::dynamic::{Producer, Session};
 use lb_workloads::{
     AlgorithmSpec, ArrivalSpec, ChurnEvent, ChurnKind, InitialSpec, ModelSpec, PadSpec, Scenario,
@@ -65,7 +66,7 @@ fn churny_scenario(algorithm: AlgorithmSpec, model: ModelSpec) -> Scenario {
 }
 
 fn temp_trace(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lb_ingest_equivalence_{tag}.trace.jsonl"))
+    unique_temp_path(&format!("lb_ingest_equivalence_{tag}.trace.jsonl"))
 }
 
 /// The acceptance criterion: sync-driven, one-feed-merged and trace-replayed

@@ -6,6 +6,7 @@
 //! mode under the `merge-ingestion` job's `timeout-minutes`, so a hang here
 //! fails loudly twice over.
 
+use lb_analysis::artifact::unique_temp_path;
 use lb_bench::dynamic::Session;
 use lb_core::continuous::Fos;
 use lb_core::discrete::{DiscreteBalancer, FlowImitation, RoundEvents, TaskPicker};
@@ -60,7 +61,7 @@ fn small_scenario() -> Scenario {
 }
 
 fn temp_trace(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lb_ingest_faults_{tag}.trace.jsonl"))
+    unique_temp_path(&format!("lb_ingest_faults_{tag}.trace.jsonl"))
 }
 
 /// Fault: one of two live feeds hangs up mid-run (its thread returns after

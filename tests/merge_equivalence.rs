@@ -7,6 +7,7 @@
 //! *any* partition of the event stream across 1..=4 feeds, sent under any
 //! (seeded) interleaving, merges back to the sync-identical trajectory.
 
+use lb_analysis::artifact::unique_temp_path;
 use lb_bench::dynamic::{Producer, Session, DEFAULT_CHANNEL_CAPACITY};
 use lb_core::continuous::Fos;
 use lb_core::discrete::{
@@ -77,7 +78,7 @@ fn churny_scenario(algorithm: AlgorithmSpec, model: ModelSpec) -> Scenario {
 }
 
 fn temp_trace(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lb_merge_equivalence_{tag}.trace.jsonl"))
+    unique_temp_path(&format!("lb_merge_equivalence_{tag}.trace.jsonl"))
 }
 
 /// The acceptance criterion: sync-driven, one-feed-merged, 2-feed-merged and

@@ -231,7 +231,7 @@ fn structural_violations_are_located_corrupt_errors() {
 
 #[test]
 fn load_maps_missing_files_to_io_errors() {
-    let missing = std::env::temp_dir().join("lb_snapshot_corpus_no_such_file.jsonl");
+    let missing = unique_temp_path("lb_snapshot_corpus_no_such_file.jsonl");
     match snapshot::load(&missing).expect_err("missing file") {
         SnapshotError::Io { path, message } => {
             assert!(path.contains("lb_snapshot_corpus_no_such_file"), "{path}");
