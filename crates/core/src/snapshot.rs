@@ -887,6 +887,134 @@ mod tests {
         assert_eq!(parse(&text).expect("parses"), snapshot);
     }
 
+    /// Golden bytes for an Algorithm 1 state: the rendered form is pinned
+    /// literally, not only as a parse/render fixpoint, so the writer and the
+    /// reader cannot drift together. Covers FIFO queue records with a dummy
+    /// task, `-0.0`, a subnormal, task ids at and above 2^63 and negative
+    /// ledger entries.
+    #[test]
+    fn alg1_render_is_pinned_byte_for_byte() {
+        let snapshot = Snapshot {
+            scenario: Json::obj([
+                ("name", Json::from("golden")),
+                ("seed", Json::from(u64::MAX)),
+            ]),
+            driver: Json::obj([
+                ("engine", Json::from("alg1(fos)")),
+                ("trajectory", Json::Arr(vec![Json::from(-7i64)])),
+            ]),
+            round: 4,
+            engine: EngineState {
+                round: 4,
+                twin: TwinState {
+                    round: 4,
+                    loads: vec![-0.0, f64::from_bits(1), 2.5],
+                    cumulative_flow: vec![-1.25, 0.1 + 0.2],
+                    min_load_seen: 0.0,
+                    history: None,
+                },
+                discrete: DiscreteState::Alg1(Alg1State {
+                    queues: vec![
+                        QueueState {
+                            next_seq: 3,
+                            entries: vec![
+                                (0, Task::new(TaskId(1 << 63), 2)),
+                                (2, Task::dummy(TaskId(u64::MAX))),
+                            ],
+                        },
+                        QueueState {
+                            next_seq: 0,
+                            entries: Vec::new(),
+                        },
+                        QueueState {
+                            next_seq: u64::MAX,
+                            entries: vec![(u64::MAX - 1, Task::new(TaskId(0), u64::MAX))],
+                        },
+                    ],
+                    dummy: vec![1, 0, 10],
+                    discrete_flow: vec![-3, i64::MIN, i64::MAX, 0],
+                    wmax: u64::MAX,
+                    dummy_created: 1,
+                    items_sent: 99,
+                    arrived_weight: 100,
+                    completed_weight: 10,
+                }),
+            },
+        };
+        assert_eq!(
+            render(&snapshot),
+            concat!(
+                r#"{"kind":"header","version":1,"scenario":{"name":"golden","seed":18446744073709551615}}"#,
+                "\n",
+                r#"{"kind":"run","round":4,"driver":{"engine":"alg1(fos)","trajectory":[-7]}}"#,
+                "\n",
+                r#"{"kind":"twin","round":4,"min_load_seen":0,"loads":[9223372036854775808,1,4612811918334230528],"cumulative_flow":[13831680355561635840,4599075939470750516]}"#,
+                "\n",
+                r#"{"kind":"alg1","round":4,"wmax":18446744073709551615,"dummy_created":1,"items_sent":99,"arrived_weight":100,"completed_weight":10,"dummy":[1,0,10],"discrete_flow":[-3,-9223372036854775808,9223372036854775807,0]}"#,
+                "\n",
+                r#"{"kind":"queue","node":0,"next_seq":3,"entries":[[0,9223372036854775808,2,false],[2,18446744073709551615,1,true]]}"#,
+                "\n",
+                r#"{"kind":"queue","node":1,"next_seq":0,"entries":[]}"#,
+                "\n",
+                r#"{"kind":"queue","node":2,"next_seq":18446744073709551615,"entries":[[18446744073709551614,0,18446744073709551615,false]]}"#,
+                "\n",
+                r#"{"kind":"end","records":6,"tasks":3}"#,
+                "\n",
+            )
+        );
+    }
+
+    /// Golden bytes for an Algorithm 2 state over an SOS twin (history
+    /// record included).
+    #[test]
+    fn alg2_sos_render_is_pinned_byte_for_byte() {
+        let snapshot = Snapshot {
+            scenario: Json::obj([("name", Json::from("golden2"))]),
+            driver: Json::Null,
+            round: 9,
+            engine: EngineState {
+                round: 9,
+                twin: TwinState {
+                    round: 2,
+                    loads: vec![1.0, f64::MAX, f64::MIN_POSITIVE],
+                    cumulative_flow: vec![f64::INFINITY, -0.5],
+                    min_load_seen: -3.25,
+                    history: Some(ProcessHistory {
+                        beta: 1.804217,
+                        previous: vec![EdgeFlow::new(0.25, -0.0), EdgeFlow::new(0.0, 1e-310)],
+                        has_previous: false,
+                    }),
+                },
+                discrete: DiscreteState::Alg2(Alg2State {
+                    tokens: vec![5, 0, u64::MAX],
+                    dummy: vec![1, 0, 0],
+                    discrete_flow: vec![2, -2],
+                    seed: (1 << 60) + 9,
+                    dummy_created: 1,
+                    arrived_weight: 4,
+                    completed_weight: 2,
+                }),
+            },
+        };
+        assert_eq!(
+            render(&snapshot),
+            concat!(
+                r#"{"kind":"header","version":1,"scenario":{"name":"golden2"}}"#,
+                "\n",
+                r#"{"kind":"run","round":9,"driver":null}"#,
+                "\n",
+                r#"{"kind":"twin","round":2,"min_load_seen":13837872805049270272,"loads":[4607182418800017408,9218868437227405311,4503599627370496],"cumulative_flow":[9218868437227405312,13826050856027422720]}"#,
+                "\n",
+                r#"{"kind":"history","beta":4610804290181542426,"has_previous":false,"previous":[[4598175219545276416,9223372036854775808],[0,20240225330731]]}"#,
+                "\n",
+                r#"{"kind":"alg2","round":9,"seed":1152921504606846985,"dummy_created":1,"arrived_weight":4,"completed_weight":2,"tokens":[5,0,18446744073709551615],"dummy":[1,0,0],"discrete_flow":[2,-2]}"#,
+                "\n",
+                r#"{"kind":"end","records":4,"tasks":0}"#,
+                "\n",
+            )
+        );
+    }
+
     #[test]
     fn truncation_and_torn_writes_fail_loudly() {
         let text = render(&sample());

@@ -863,6 +863,109 @@ mod tests {
         });
     }
 
+    fn golden_batch(base: u64) -> WireBatch {
+        WireBatch {
+            tasks: vec![
+                WireTask {
+                    edge: base,
+                    node: 7,
+                    id: 1 << 63,
+                    weight: 2,
+                    dummy: false,
+                },
+                WireTask {
+                    edge: base + 1,
+                    node: 0,
+                    id: u64::MAX,
+                    weight: 1,
+                    dummy: true,
+                },
+            ],
+            dummy: vec![(7, 4), (0, u64::MAX)],
+            tokens: vec![(1, 2, 3)],
+            deltas: vec![(3, -5), (9, i64::MAX), (10, i64::MIN)],
+        }
+    }
+
+    /// Golden bytes for every bulk v2 record: the wire form is pinned
+    /// literally, not only as a parse/render fixpoint, so the writer and the
+    /// reader cannot drift together.
+    #[test]
+    fn bulk_v2_records_pin_their_bytes() {
+        let cases = [
+            (
+                Record::Loads {
+                    rank: None,
+                    entries: vec![(0, 4_607_182_418_800_017_408), (5, 0), (u64::MAX, 1 << 63)],
+                },
+                r#"{"kind":"loads","rank":null,"entries":[[0,4607182418800017408],[5,0],[18446744073709551615,9223372036854775808]]}"#,
+            ),
+            (
+                Record::Loads {
+                    rank: Some(3),
+                    entries: Vec::new(),
+                },
+                r#"{"kind":"loads","rank":3,"entries":[]}"#,
+            ),
+            (
+                Record::Flows {
+                    rank: None,
+                    entries: vec![(9, 17, u64::MAX), (0, 0, 1)],
+                },
+                r#"{"kind":"flows","rank":null,"entries":[[9,17,18446744073709551615],[0,0,1]]}"#,
+            ),
+            (
+                Record::Flows {
+                    rank: Some(1),
+                    entries: vec![(2, 13_830_554_455_654_793_216, 0)],
+                },
+                r#"{"kind":"flows","rank":1,"entries":[[2,13830554455654793216,0]]}"#,
+            ),
+            (
+                Record::Sends {
+                    rank: 2,
+                    batch: golden_batch(3),
+                },
+                r#"{"kind":"sends","rank":2,"batch":{"tasks":[[3,7,9223372036854775808,2,false],[4,0,18446744073709551615,1,true]],"dummy":[[7,4],[0,18446744073709551615]],"tokens":[[1,2,3]],"deltas":[[3,-5],[9,9223372036854775807],[10,-9223372036854775808]]}}"#,
+            ),
+            (
+                Record::Sends {
+                    rank: 0,
+                    batch: WireBatch::default(),
+                },
+                r#"{"kind":"sends","rank":0,"batch":{"tasks":[],"dummy":[],"tokens":[],"deltas":[]}}"#,
+            ),
+            (
+                Record::Deliver {
+                    batches: vec![(0, golden_batch(40)), (1, WireBatch::default())],
+                },
+                r#"{"kind":"deliver","batches":[{"rank":0,"batch":{"tasks":[[40,7,9223372036854775808,2,false],[41,0,18446744073709551615,1,true]],"dummy":[[7,4],[0,18446744073709551615]],"tokens":[[1,2,3]],"deltas":[[3,-5],[9,9223372036854775807],[10,-9223372036854775808]]}},{"rank":1,"batch":{"tasks":[],"dummy":[],"tokens":[],"deltas":[]}}]}"#,
+            ),
+            (
+                Record::Deliver {
+                    batches: Vec::new(),
+                },
+                r#"{"kind":"deliver","batches":[]}"#,
+            ),
+            (
+                Record::Sample {
+                    rank: 1,
+                    round: 16,
+                    loads: vec![4_607_182_418_800_017_408, 0],
+                    real: vec![1 << 63, u64::MAX],
+                    dummy_load: 7,
+                    arrived: 8,
+                    completed: u64::MAX,
+                },
+                r#"{"kind":"sample","rank":1,"round":16,"loads":[4607182418800017408,0],"real":[9223372036854775808,18446744073709551615],"dummy_load":7,"arrived":8,"completed":18446744073709551615}"#,
+            ),
+        ];
+        for (record, golden) in cases {
+            assert_eq!(record.render(), golden);
+            roundtrip(record);
+        }
+    }
+
     #[test]
     fn malformed_lines_produce_typed_errors() {
         assert!(matches!(
