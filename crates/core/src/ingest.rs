@@ -35,11 +35,15 @@
 //!
 //! The channel recycles batch buffers: the consumer returns drained
 //! [`RoundEvents`] to a spare pool the producer draws from via
-//! [`EventProducer::buffer`]. Once every buffer in circulation has grown to
-//! the working batch size, a steady-state round — receive, apply, recycle,
-//! step — performs **no heap allocations on either thread**: the queue and
-//! spare pool are pre-sized rings, and blocking uses condvars, not
-//! allocation. Only the event application itself may touch the heap (queues
+//! [`EventProducer::buffer`]. [`bounded`] mints the whole circulation up
+//! front — one buffer per queue slot plus one in each party's hands — and
+//! the pool hands them out oldest-first, so any `capacity + 2` consecutive
+//! rounds touch every buffer, even when producer and consumer run in
+//! lockstep. Once every buffer has grown to the working batch size, a
+//! steady-state round — receive, apply, recycle, step — performs **no heap
+//! allocations on either thread**, however far the producer later runs
+//! ahead: the queue and spare pool are pre-sized rings, and blocking uses
+//! condvars, not allocation. Only the event application itself may touch the heap (queues
 //! growing under net load), exactly as on the synchronous path;
 //! `tests/zero_alloc.rs` pins both sides with a counting global allocator.
 //!
@@ -92,8 +96,8 @@ pub struct ChannelMetrics {
 struct State {
     /// In-flight batches, oldest first, tagged with their round.
     queue: VecDeque<(u64, RoundEvents)>,
-    /// Drained buffers waiting to be reused by the producer.
-    spare: Vec<RoundEvents>,
+    /// Drained buffers waiting to be reused by the producer, oldest first.
+    spare: VecDeque<RoundEvents>,
     /// The producer was dropped; no further batches will arrive.
     producer_gone: bool,
     /// The consumer was dropped; sends can never be observed.
@@ -120,8 +124,11 @@ pub fn bounded(capacity: usize) -> (EventProducer, EventConsumer) {
         capacity,
         state: Mutex::new(State {
             queue: VecDeque::with_capacity(capacity),
-            // One spare per queue slot plus one in each party's hands.
-            spare: Vec::with_capacity(capacity + 2),
+            // The whole circulation: one buffer per queue slot plus one in
+            // each party's hands. Empty buffers own no heap memory yet.
+            spare: (0..circulation(capacity))
+                .map(|_| RoundEvents::default())
+                .collect(),
             producer_gone: false,
             consumer_gone: false,
             metrics: ChannelMetrics::default(),
@@ -138,6 +145,13 @@ pub fn bounded(capacity: usize) -> (EventProducer, EventConsumer) {
     )
 }
 
+/// Buffers in circulation on a channel of `capacity` in-flight batches:
+/// a full queue plus the one the producer is filling and the one the
+/// consumer holds.
+fn circulation(capacity: usize) -> usize {
+    capacity + 2
+}
+
 /// The sending half: owned by the producer thread.
 ///
 /// Dropping the producer closes the channel; the consumer then sees the end
@@ -148,12 +162,14 @@ pub struct EventProducer {
 }
 
 impl EventProducer {
-    /// Returns a cleared batch buffer, reusing a recycled one when available
-    /// so steady-state production allocates nothing.
+    /// Returns a cleared batch buffer: the least recently used one of the
+    /// circulation, so lockstep rounds warm every buffer and steady-state
+    /// production allocates nothing. A fresh buffer is minted only when a
+    /// caller holds more buffers than the circulation provides.
     pub fn buffer(&mut self) -> RoundEvents {
         let mut events = {
             let mut state = self.shared.state.lock().expect("ingest lock");
-            state.spare.pop().unwrap_or_default()
+            state.spare.pop_front().unwrap_or_default()
         };
         events.clear();
         events
@@ -267,13 +283,13 @@ impl EventConsumer {
         self.shared.state.lock().expect("ingest lock").metrics
     }
 
-    /// Returns a drained buffer to the spare pool for the producer to reuse.
-    /// Buffers beyond the pool's capacity are simply dropped.
+    /// Returns a drained buffer to the back of the spare pool for the
+    /// producer to reuse. Buffers beyond the circulation are simply dropped.
     pub fn recycle(&mut self, mut events: RoundEvents) {
         events.clear();
         let mut state = self.shared.state.lock().expect("ingest lock");
-        if state.spare.len() < state.spare.capacity() {
-            state.spare.push(events);
+        if state.spare.len() < circulation(self.shared.capacity) {
+            state.spare.push_back(events);
         }
     }
 }
@@ -324,6 +340,11 @@ mod tests {
         let ptr = events.arrivals.as_ptr();
         let capacity = events.arrivals.capacity();
         rx.recycle(events);
+        // Buffers rotate oldest-first: the recycled one comes back once the
+        // rest of the circulation (capacity 1, plus one in each party's
+        // hands) has been handed out.
+        let rest = [tx.buffer(), tx.buffer()];
+        assert!(rest.iter().all(|b| b.arrivals.as_ptr() != ptr));
         let reused = tx.buffer();
         assert!(reused.is_empty(), "recycled buffers come back cleared");
         assert_eq!(reused.arrivals.capacity(), capacity);

@@ -530,7 +530,10 @@ mod tests {
         session.fill_round(4, &mut out).unwrap();
         assert_eq!(out.arrivals, vec![unit_arrival(2, 9)]);
         assert_eq!(out.completions, vec![(0, 3)]);
-        // The drained buffer went back to the feed's spare pool.
+        // The drained buffer went back to the back of the feed's spare
+        // pool: it returns after the other five of the circulation.
+        let rest: Vec<RoundEvents> = (0..5).map(|_| tx.buffer()).collect();
+        assert!(rest.iter().all(|b| b.arrivals.capacity() == 0));
         let reused = tx.buffer();
         assert!(reused.is_empty(), "recycled buffers come back cleared");
         assert!(
