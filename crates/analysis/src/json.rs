@@ -124,9 +124,12 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => write_number(out, *x),
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::Int(v) => match u64::try_from(v.unsigned_abs()) {
+                Ok(magnitude) => crate::codec::push_int_str(out, *v < 0, magnitude),
+                Err(_) => {
+                    let _ = write!(out, "{v}");
+                }
+            },
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) if items.is_empty() => out.push_str("[]"),
             Json::Arr(items) => {
@@ -184,6 +187,15 @@ impl Json {
         }
         Ok(value)
     }
+}
+
+/// Parses one JSON value starting at byte `pos` of `bytes` (leading
+/// whitespace skipped), returning it with the offset just past its end.
+pub(crate) fn value_at(bytes: &[u8], pos: usize) -> Result<(Json, usize), String> {
+    let mut parser = Parser { bytes, pos };
+    parser.skip_ws();
+    let value = parser.value()?;
+    Ok((value, parser.pos))
 }
 
 impl From<f64> for Json {

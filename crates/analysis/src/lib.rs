@@ -16,6 +16,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod artifact;
+pub mod codec;
 pub mod json;
 mod record;
 mod stats;

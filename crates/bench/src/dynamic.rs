@@ -61,7 +61,7 @@
 //! applied prefix simply yields empty batches for the fast-forwarded
 //! rounds.
 
-use lb_analysis::Json;
+use lb_analysis::{usize_exact, Json};
 use lb_core::continuous::{Fos, Sos};
 use lb_core::discrete::{
     DiscreteBalancer, DynamicBalancer, FlowImitation, RandomizedImitation, RoundEvents, TaskPicker,
@@ -1118,29 +1118,44 @@ pub(crate) fn encode_driver(engine_name: &str, trajectory: &[RoundSample]) -> Js
 }
 
 /// Decodes the driver payload's trajectory (inverse of [`encode_driver`]).
-fn decode_trajectory(driver: &Json) -> Result<Vec<RoundSample>, String> {
+/// A round or node count above `limit` (`usize::MAX` on resume) is a
+/// protocol error, never a truncated index.
+fn decode_trajectory(driver: &Json, limit: usize) -> Result<Vec<RoundSample>, BenchError> {
     let entries = driver
         .get("trajectory")
         .and_then(Json::as_array)
-        .ok_or("snapshot driver payload has no trajectory array")?;
+        .ok_or_else(|| BenchError::protocol("snapshot driver payload has no trajectory array"))?;
     entries
         .iter()
         .enumerate()
         .map(|(idx, entry)| {
             let items = entry.as_array().filter(|a| a.len() == 8).ok_or_else(|| {
-                format!("snapshot driver payload: trajectory entry {idx} is not an 8-field record")
+                BenchError::protocol(format!(
+                    "snapshot driver payload: trajectory entry {idx} is not an 8-field record"
+                ))
             })?;
-            let int = |slot: usize, what: &str| -> Result<u64, String> {
+            let int = |slot: usize, what: &str| -> Result<u64, BenchError> {
                 items[slot].as_u64().ok_or_else(|| {
-                    format!(
+                    BenchError::protocol(format!(
                         "snapshot driver payload: trajectory entry {idx} field {what} \
                          must be a non-negative exact integer"
-                    )
+                    ))
                 })
             };
+            let count = |slot: usize, what: &str| -> Result<usize, BenchError> {
+                let value = int(slot, what)?;
+                usize_exact(value)
+                    .filter(|&count| count <= limit)
+                    .ok_or_else(|| {
+                        BenchError::protocol(format!(
+                            "snapshot driver payload: trajectory entry {idx} field {what} \
+                             = {value} exceeds this platform"
+                        ))
+                    })
+            };
             Ok(RoundSample {
-                round: int(0, "round")? as usize,
-                nodes: int(1, "nodes")? as usize,
+                round: count(0, "round")?,
+                nodes: count(1, "nodes")?,
                 max_min: f64::from_bits(int(2, "max_min")?),
                 max_avg: f64::from_bits(int(3, "max_avg")?),
                 real_weight: f64::from_bits(int(4, "real_weight")?),
@@ -1209,7 +1224,7 @@ impl ResumePoint {
             .and_then(Json::as_str)
             .ok_or_else(|| BenchError::protocol("snapshot driver payload has no engine name"))?
             .to_string();
-        let trajectory = decode_trajectory(&snapshot.driver).map_err(BenchError::Protocol)?;
+        let trajectory = decode_trajectory(&snapshot.driver, usize::MAX)?;
         if trajectory.first().map(|s| s.round) != Some(0) {
             return Err(BenchError::protocol(
                 "snapshot driver payload: trajectory does not start at round 0",
@@ -1410,6 +1425,8 @@ fn execute(
     let mut executor = (exec_shards > 1).then(|| ShardedExecutor::new(exec_shards));
 
     let mut trajectory = Vec::new();
+    // One render buffer for every checkpoint of the run.
+    let mut checkpoint_text = Vec::new();
     let mut record = |engine: &Engine, round: usize, trajectory: &mut Vec<RoundSample>| {
         let sample = sample_of(engine, round);
         on_sample(&sample);
@@ -1507,7 +1524,7 @@ fn execute(
                     round: done as u64,
                     engine: engine.capture(),
                 };
-                snapshot::write_atomic(path, &state)
+                snapshot::write_atomic_with(path, &state, &mut checkpoint_text)
                     .map_err(|err| BenchError::run(format!("checkpoint at round {done}: {err}")))?;
             }
         }
@@ -1854,6 +1871,52 @@ mod tests {
             "engine was {}",
             outcome.engine
         );
+    }
+
+    /// A trajectory round or node count beyond the platform's `usize` is a
+    /// typed protocol error, not a truncating cast. The limit stands in for
+    /// a 32-bit platform, so the check runs on 64-bit hosts too.
+    #[test]
+    fn out_of_range_trajectory_counts_are_protocol_errors() {
+        let sample = RoundSample {
+            round: 5,
+            nodes: 1 << 20,
+            max_min: 1.5,
+            max_avg: 0.5,
+            real_weight: 3.0,
+            dummy_load: 1,
+            arrived_weight: 2,
+            completed_weight: 3,
+        };
+        let driver = encode_driver("alg1(fos)", std::slice::from_ref(&sample));
+        let decoded = decode_trajectory(&driver, usize::MAX).expect("in range");
+        assert_eq!(decoded[0].nodes, sample.nodes);
+        assert_eq!(decoded[0].max_min.to_bits(), sample.max_min.to_bits());
+        let u32_max = usize::try_from(u32::MAX).unwrap();
+        assert!(decode_trajectory(&driver, u32_max).is_ok());
+        for (round, nodes, field) in [(1u64 << 32, 4u64, "round"), (5, 1 << 33, "nodes")] {
+            let mut entry = driver.clone();
+            let Json::Obj(fields) = &mut entry else {
+                unreachable!("the driver payload is an object")
+            };
+            fields[1].1 = Json::Arr(vec![Json::Arr(vec![
+                Json::from(round),
+                Json::from(nodes),
+                Json::from(0u64),
+                Json::from(0u64),
+                Json::from(0u64),
+                Json::from(0u64),
+                Json::from(0u64),
+                Json::from(0u64),
+            ])]);
+            match decode_trajectory(&entry, u32_max) {
+                Err(BenchError::Protocol(message)) => {
+                    assert!(message.contains(field), "{message}");
+                    assert!(message.contains("exceeds this platform"), "{message}");
+                }
+                other => panic!("expected a Protocol error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -88,6 +88,8 @@ struct Wire {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     line: String,
+    /// Reused render buffer for outgoing records.
+    out: Vec<u8>,
     /// Peer label for error messages ("coordinator", "federate rank 2").
     peer: String,
 }
@@ -109,15 +111,17 @@ impl Wire {
             reader: BufReader::new(stream),
             writer,
             line: String::new(),
+            out: Vec::new(),
             peer,
         })
     }
 
     fn send(&mut self, record: &Record) -> Result<(), BenchError> {
-        let mut text = record.render();
-        text.push('\n');
+        self.out.clear();
+        record.render_into(&mut self.out);
+        self.out.push(b'\n');
         self.writer
-            .write_all(text.as_bytes())
+            .write_all(&self.out)
             .map_err(|e| BenchError::protocol(format!("sending to the {}: {e}", self.peer)))
     }
 
@@ -413,6 +417,8 @@ fn run_coordinator(
     let mut graph = Arc::clone(&world.graph);
     let mut speeds = world.speeds.clone();
     let mut trajectory = Vec::new();
+    // One render buffer for every checkpoint of the run.
+    let mut checkpoint_text = Vec::new();
     let sample0 = sample_of(&engine, 0);
     on_sample(&sample0);
     trajectory.push(sample0);
@@ -477,7 +483,7 @@ fn run_coordinator(
                     round: done as u64,
                     engine: assembled,
                 };
-                snapshot::write_atomic(path, &state)
+                snapshot::write_atomic_with(path, &state, &mut checkpoint_text)
                     .map_err(|err| BenchError::run(format!("checkpoint at round {done}: {err}")))?;
             }
         }

@@ -42,6 +42,7 @@
 use crate::continuous::EdgeFlow;
 use crate::task::Task;
 use crate::TaskId;
+use lb_analysis::codec::{LineScanner, LineWriter, ScanError};
 use lb_analysis::{u64_exact, usize_exact, Json};
 use std::fmt;
 use std::fs;
@@ -256,243 +257,150 @@ pub struct Snapshot {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// `f64` state travels as its IEEE-754 bit pattern: exact for every value
-/// including negative zero, subnormals and infinities.
-fn bits(x: f64) -> Json {
-    Json::from(x.to_bits())
-}
-
-fn bits_arr(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| bits(x)).collect())
-}
-
-fn i64_arr(xs: &[i64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::from(x)).collect())
-}
-
-fn u64_arr(xs: &[u64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::from(x)).collect())
-}
-
 /// Renders `snapshot` into the line-delimited text form.
 pub fn render(snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    let mut records = 0usize;
-    let mut tasks = 0u64;
-    let header = Json::obj([
-        ("kind", Json::from("header")),
-        ("version", Json::from(SNAPSHOT_VERSION)),
-        ("scenario", snapshot.scenario.clone()),
-    ]);
-    out.push_str(&header.render());
-    out.push('\n');
-    let mut push = |record: Json, out: &mut String| {
-        out.push_str(&record.render());
-        out.push('\n');
-        records += 1;
-    };
-    push(
-        Json::obj([
-            ("kind", Json::from("run")),
-            ("round", Json::from(snapshot.round)),
-            ("driver", snapshot.driver.clone()),
-        ]),
-        &mut out,
-    );
+    let mut out = Vec::new();
+    render_into(snapshot, &mut out);
+    // Every byte is ASCII or comes from a `Json` string, so this never
+    // falls back.
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+/// Appends the line-delimited text form of `snapshot` to `out`, one
+/// [`LineWriter`] record per line. Callers that publish repeatedly (the
+/// driver's rotating checkpoint) clear and reuse one buffer.
+pub fn render_into(snapshot: &Snapshot, out: &mut Vec<u8>) {
+    out.reserve(capacity_hint(snapshot));
+    let mut w = LineWriter::record(out, "header");
+    w.key("version").u64(SNAPSHOT_VERSION);
+    w.key("scenario").json(&snapshot.scenario);
+    w.end();
+    out.push(b'\n');
+
+    let mut w = LineWriter::record(out, "run");
+    w.key("round").u64(snapshot.round);
+    w.key("driver").json(&snapshot.driver);
+    w.end();
+    out.push(b'\n');
+    let mut records = 1usize;
+
     let twin = &snapshot.engine.twin;
-    push(
-        Json::obj([
-            ("kind", Json::from("twin")),
-            ("round", Json::from(twin.round)),
-            ("min_load_seen", bits(twin.min_load_seen)),
-            ("loads", bits_arr(&twin.loads)),
-            ("cumulative_flow", bits_arr(&twin.cumulative_flow)),
-        ]),
-        &mut out,
-    );
+    let mut w = LineWriter::record(out, "twin");
+    w.key("round").u64(twin.round);
+    w.key("min_load_seen").f64_bits(twin.min_load_seen);
+    w.key("loads").f64s_bits(&twin.loads);
+    w.key("cumulative_flow").f64s_bits(&twin.cumulative_flow);
+    w.end();
+    out.push(b'\n');
+    records += 1;
+
     if let Some(history) = &twin.history {
-        let previous = history
-            .previous
-            .iter()
-            .map(|flow| Json::Arr(vec![bits(flow.forward), bits(flow.backward)]))
-            .collect();
-        push(
-            Json::obj([
-                ("kind", Json::from("history")),
-                ("beta", bits(history.beta)),
-                ("has_previous", Json::from(history.has_previous)),
-                ("previous", Json::Arr(previous)),
-            ]),
-            &mut out,
-        );
+        let mut w = LineWriter::record(out, "history");
+        w.key("beta").f64_bits(history.beta);
+        w.key("has_previous").bool(history.has_previous);
+        w.key("previous").u64_rows(&history.previous, |flow| {
+            [flow.forward.to_bits(), flow.backward.to_bits()]
+        });
+        w.end();
+        out.push(b'\n');
+        records += 1;
     }
+
+    let mut tasks = 0u64;
     match &snapshot.engine.discrete {
         DiscreteState::Alg1(alg1) => {
-            push(
-                Json::obj([
-                    ("kind", Json::from("alg1")),
-                    ("round", Json::from(snapshot.engine.round)),
-                    ("wmax", Json::from(alg1.wmax)),
-                    ("dummy_created", Json::from(alg1.dummy_created)),
-                    ("items_sent", Json::from(alg1.items_sent)),
-                    ("arrived_weight", Json::from(alg1.arrived_weight)),
-                    ("completed_weight", Json::from(alg1.completed_weight)),
-                    ("dummy", u64_arr(&alg1.dummy)),
-                    ("discrete_flow", i64_arr(&alg1.discrete_flow)),
-                ]),
-                &mut out,
-            );
+            let mut w = LineWriter::record(out, "alg1");
+            w.key("round").u64(snapshot.engine.round);
+            w.key("wmax").u64(alg1.wmax);
+            w.key("dummy_created").u64(alg1.dummy_created);
+            w.key("items_sent").u64(alg1.items_sent);
+            w.key("arrived_weight").u64(alg1.arrived_weight);
+            w.key("completed_weight").u64(alg1.completed_weight);
+            w.key("dummy").u64s(&alg1.dummy);
+            w.key("discrete_flow").i64s(&alg1.discrete_flow);
+            w.end();
+            out.push(b'\n');
+            records += 1;
             for (node, queue) in alg1.queues.iter().enumerate() {
+                let mut w = LineWriter::record(out, "queue");
+                w.key("node").u64(u64_exact(node));
+                w.key("next_seq").u64(queue.next_seq);
+                w.key("entries").list(&queue.entries, |w, &(seq, task)| {
+                    w.open_array()
+                        .u64(seq)
+                        .u64(task.id().0)
+                        .u64(task.weight())
+                        .bool(task.is_dummy())
+                        .close_array();
+                });
+                w.end();
+                out.push(b'\n');
+                records += 1;
                 tasks += u64_exact(queue.entries.len());
-                let entries = queue
-                    .entries
-                    .iter()
-                    .map(|&(seq, task)| {
-                        Json::Arr(vec![
-                            Json::from(seq),
-                            Json::from(task.id().0),
-                            Json::from(task.weight()),
-                            Json::from(task.is_dummy()),
-                        ])
-                    })
-                    .collect();
-                push(
-                    Json::obj([
-                        ("kind", Json::from("queue")),
-                        ("node", Json::from(node)),
-                        ("next_seq", Json::from(queue.next_seq)),
-                        ("entries", Json::Arr(entries)),
-                    ]),
-                    &mut out,
-                );
             }
         }
         DiscreteState::Alg2(alg2) => {
-            push(
-                Json::obj([
-                    ("kind", Json::from("alg2")),
-                    ("round", Json::from(snapshot.engine.round)),
-                    ("seed", Json::from(alg2.seed)),
-                    ("dummy_created", Json::from(alg2.dummy_created)),
-                    ("arrived_weight", Json::from(alg2.arrived_weight)),
-                    ("completed_weight", Json::from(alg2.completed_weight)),
-                    ("tokens", u64_arr(&alg2.tokens)),
-                    ("dummy", u64_arr(&alg2.dummy)),
-                    ("discrete_flow", i64_arr(&alg2.discrete_flow)),
-                ]),
-                &mut out,
-            );
+            let mut w = LineWriter::record(out, "alg2");
+            w.key("round").u64(snapshot.engine.round);
+            w.key("seed").u64(alg2.seed);
+            w.key("dummy_created").u64(alg2.dummy_created);
+            w.key("arrived_weight").u64(alg2.arrived_weight);
+            w.key("completed_weight").u64(alg2.completed_weight);
+            w.key("tokens").u64s(&alg2.tokens);
+            w.key("dummy").u64s(&alg2.dummy);
+            w.key("discrete_flow").i64s(&alg2.discrete_flow);
+            w.end();
+            out.push(b'\n');
+            records += 1;
         }
     }
-    let end = Json::obj([
-        ("kind", Json::from("end")),
-        ("records", Json::from(records)),
-        ("tasks", Json::from(tasks)),
-    ]);
-    out.push_str(&end.render());
-    out.push('\n');
-    out
+
+    let mut w = LineWriter::record(out, "end");
+    w.key("records").u64(u64_exact(records));
+    w.key("tasks").u64(tasks);
+    w.end();
+    out.push(b'\n');
+}
+
+/// An upper estimate of the rendered size: at most 21 bytes per bulk
+/// integer (20 digits and a separator, or a sign), so a fresh buffer grows
+/// once instead of doubling its way up.
+fn capacity_hint(snapshot: &Snapshot) -> usize {
+    const PER_VALUE: usize = 21;
+    const PER_LINE: usize = 256;
+    let twin = &snapshot.engine.twin;
+    let history = twin.history.as_ref().map_or(0, |h| 2 * h.previous.len());
+    let (values, lines) = match &snapshot.engine.discrete {
+        DiscreteState::Alg1(alg1) => {
+            let entries: usize = alg1.queues.iter().map(|q| q.entries.len()).sum();
+            (
+                alg1.dummy.len() + alg1.discrete_flow.len() + 4 * entries,
+                alg1.queues.len(),
+            )
+        }
+        DiscreteState::Alg2(alg2) => (
+            alg2.tokens.len() + alg2.dummy.len() + alg2.discrete_flow.len(),
+            0,
+        ),
+    };
+    let values = values + twin.loads.len() + twin.cumulative_flow.len() + history;
+    PER_VALUE * values + PER_LINE * (lines + 8)
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Exact u64: `Json::Int` in range or an integral non-negative `Num`.
-fn get_u64(record: &Json, field: &str, line: usize) -> Result<u64, SnapshotError> {
-    record
-        .get(field)
-        .ok_or_else(|| SnapshotError::corrupt(line, format!("missing field {field:?}")))?
-        .as_u64()
-        .ok_or_else(|| {
-            SnapshotError::corrupt(
-                line,
-                format!("field {field:?} must be a non-negative exact integer"),
-            )
-        })
-}
-
-fn item_u64(item: &Json, what: &str, line: usize) -> Result<u64, SnapshotError> {
-    item.as_u64().ok_or_else(|| {
-        SnapshotError::corrupt(line, format!("{what} must be a non-negative exact integer"))
-    })
-}
-
-/// Exact i64 (the discrete-flow ledger is signed).
-fn item_i64(item: &Json, what: &str, line: usize) -> Result<i64, SnapshotError> {
-    let exact = match item {
-        Json::Int(v) => i64::try_from(*v).ok(),
-        // lint: allow(R02, both casts proven exact by the fract/magnitude guard)
-        Json::Num(x) if x.fract() == 0.0 && x.abs() <= (1u64 << 53) as f64 => Some(*x as i64),
-        _ => None,
-    };
-    exact.ok_or_else(|| SnapshotError::corrupt(line, format!("{what} must be an exact integer")))
-}
-
-fn item_f64_bits(item: &Json, what: &str, line: usize) -> Result<f64, SnapshotError> {
-    Ok(f64::from_bits(item_u64(item, what, line)?))
-}
-
-fn get_f64_bits(record: &Json, field: &str, line: usize) -> Result<f64, SnapshotError> {
-    Ok(f64::from_bits(get_u64(record, field, line)?))
-}
-
-fn get_array<'a>(record: &'a Json, field: &str, line: usize) -> Result<&'a [Json], SnapshotError> {
-    record
-        .get(field)
-        .ok_or_else(|| SnapshotError::corrupt(line, format!("missing field {field:?}")))?
-        .as_array()
-        .ok_or_else(|| SnapshotError::corrupt(line, format!("field {field:?} must be an array")))
-}
-
-fn get_bits_arr(record: &Json, field: &str, line: usize) -> Result<Vec<f64>, SnapshotError> {
-    get_array(record, field, line)?
-        .iter()
-        .map(|item| item_f64_bits(item, &format!("{field} entry"), line))
-        .collect()
-}
-
-fn get_u64_arr(record: &Json, field: &str, line: usize) -> Result<Vec<u64>, SnapshotError> {
-    get_array(record, field, line)?
-        .iter()
-        .map(|item| item_u64(item, &format!("{field} entry"), line))
-        .collect()
-}
-
-fn get_i64_arr(record: &Json, field: &str, line: usize) -> Result<Vec<i64>, SnapshotError> {
-    get_array(record, field, line)?
-        .iter()
-        .map(|item| item_i64(item, &format!("{field} entry"), line))
-        .collect()
-}
-
-fn get_bool(record: &Json, field: &str, line: usize) -> Result<bool, SnapshotError> {
-    match record.get(field) {
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(SnapshotError::corrupt(
-            line,
-            format!("field {field:?} must be a boolean"),
-        )),
-        None => Err(SnapshotError::corrupt(
-            line,
-            format!("missing field {field:?}"),
-        )),
-    }
-}
-
-fn kind_of(record: &Json) -> Option<&str> {
-    record.get("kind").and_then(Json::as_str)
-}
-
 /// Parses a snapshot from its line-delimited text form, validating the
-/// version, the record sequence and the end record's totals.
+/// version, the record sequence and the end record's totals. Each record
+/// is read in the writer's field order by one [`LineScanner`] pass.
 ///
 /// # Errors
 ///
 /// Every malformed input maps to a specific [`SnapshotError`]: bad records
-/// are located by line, a flipped version is [`SnapshotError::Version`], a
-/// missing end record or a mid-line torn write is
-/// [`SnapshotError::Truncated`].
+/// are located by line (and the reason by byte), a flipped version is
+/// [`SnapshotError::Version`], a missing end record or a mid-line torn
+/// write is [`SnapshotError::Truncated`].
 pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
     if text.is_empty() {
         return Err(SnapshotError::Truncated {
@@ -518,21 +426,20 @@ pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
         line: 1,
         reason: "empty snapshot".into(),
     })?;
-    let header = Json::parse(header).map_err(|e| SnapshotError::corrupt(line, e))?;
-    if kind_of(&header) != Some("header") {
+    let at = |e: ScanError| SnapshotError::corrupt(line, e.to_string());
+    let mut scan = LineScanner::new(header);
+    if scan.kind().map_err(at)? != "header" {
         return Err(SnapshotError::corrupt(
             line,
             "expected the snapshot header record",
         ));
     }
-    match get_u64(&header, "version", line)? {
+    match scan.field_u64("version").map_err(at)? {
         SNAPSHOT_VERSION => {}
         found => return Err(SnapshotError::Version { line, found }),
     }
-    let scenario = header
-        .get("scenario")
-        .ok_or_else(|| SnapshotError::corrupt(line, "header has no scenario"))?
-        .clone();
+    let scenario = scan.field_json("scenario").map_err(at)?;
+    scan.finish().map_err(at)?;
 
     // Body: run → twin → [history] → alg1 + queues | alg2 → end.
     let mut run: Option<(u64, Json)> = None;
@@ -548,86 +455,87 @@ pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
         if sealed {
             return Err(SnapshotError::corrupt(line, "content after the end record"));
         }
-        let record = Json::parse(text).map_err(|e| SnapshotError::corrupt(line, e))?;
-        match kind_of(&record) {
-            Some("run") => {
+        let at = |e: ScanError| SnapshotError::corrupt(line, e.to_string());
+        let mut scan = LineScanner::new(text);
+        let kind = scan.kind().map_err(at)?;
+        match kind {
+            "run" => {
                 if run.is_some() {
                     return Err(SnapshotError::corrupt(line, "duplicate run record"));
                 }
-                let round = get_u64(&record, "round", line)?;
-                let driver = record
-                    .get("driver")
-                    .ok_or_else(|| SnapshotError::corrupt(line, "run record has no driver"))?
-                    .clone();
+                let round = scan.field_u64("round").map_err(at)?;
+                let driver = scan.field_json("driver").map_err(at)?;
                 run = Some((round, driver));
             }
-            Some("twin") => {
+            "twin" => {
                 if twin.is_some() {
                     return Err(SnapshotError::corrupt(line, "duplicate twin record"));
                 }
+                let round = scan.field_u64("round").map_err(at)?;
+                let min_load_seen = scan.field_f64_bits("min_load_seen").map_err(at)?;
+                let loads = scan.field_f64s_bits("loads").map_err(at)?;
+                let cumulative_flow = scan.field_f64s_bits("cumulative_flow").map_err(at)?;
                 twin = Some(TwinState {
-                    round: get_u64(&record, "round", line)?,
-                    min_load_seen: get_f64_bits(&record, "min_load_seen", line)?,
-                    loads: get_bits_arr(&record, "loads", line)?,
-                    cumulative_flow: get_bits_arr(&record, "cumulative_flow", line)?,
+                    round,
+                    loads,
+                    cumulative_flow,
+                    min_load_seen,
                     history: None,
                 });
             }
-            Some("history") => {
+            "history" => {
                 let twin = twin.as_mut().ok_or_else(|| {
                     SnapshotError::corrupt(line, "history record before the twin record")
                 })?;
                 if twin.history.is_some() {
                     return Err(SnapshotError::corrupt(line, "duplicate history record"));
                 }
-                let previous = get_array(&record, "previous", line)?
-                    .iter()
-                    .map(|pair| {
-                        let items = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                            SnapshotError::corrupt(
-                                line,
-                                "each previous entry must be a [forward, backward] pair",
-                            )
-                        })?;
-                        Ok(EdgeFlow::new(
-                            item_f64_bits(&items[0], "previous forward", line)?,
-                            item_f64_bits(&items[1], "previous backward", line)?,
-                        ))
+                let beta = scan.field_f64_bits("beta").map_err(at)?;
+                let has_previous = scan.field_bool("has_previous").map_err(at)?;
+                let previous = scan
+                    .field_u64_rows("previous", |[forward, backward]| {
+                        EdgeFlow::new(f64::from_bits(forward), f64::from_bits(backward))
                     })
-                    .collect::<Result<Vec<_>, SnapshotError>>()?;
+                    .map_err(at)?;
                 twin.history = Some(ProcessHistory {
-                    beta: get_f64_bits(&record, "beta", line)?,
-                    has_previous: get_bool(&record, "has_previous", line)?,
+                    beta,
                     previous,
+                    has_previous,
                 });
             }
-            Some("alg1") => {
+            "alg1" => {
                 if alg1.is_some() || alg2.is_some() {
                     return Err(SnapshotError::corrupt(line, "duplicate engine record"));
                 }
+                let round = scan.field_u64("round").map_err(at)?;
+                let wmax = scan.field_u64("wmax").map_err(at)?;
+                let dummy_created = scan.field_u64("dummy_created").map_err(at)?;
+                let items_sent = scan.field_u64("items_sent").map_err(at)?;
+                let arrived_weight = scan.field_u64("arrived_weight").map_err(at)?;
+                let completed_weight = scan.field_u64("completed_weight").map_err(at)?;
+                let dummy = scan.field_u64s("dummy").map_err(at)?;
+                let discrete_flow = scan.field_i64s("discrete_flow").map_err(at)?;
                 alg1 = Some((
-                    get_u64(&record, "round", line)?,
+                    round,
                     Alg1State {
                         queues: Vec::new(),
-                        dummy: get_u64_arr(&record, "dummy", line)?,
-                        discrete_flow: get_i64_arr(&record, "discrete_flow", line)?,
-                        wmax: get_u64(&record, "wmax", line)?,
-                        dummy_created: get_u64(&record, "dummy_created", line)?,
-                        items_sent: get_u64(&record, "items_sent", line)?,
-                        arrived_weight: get_u64(&record, "arrived_weight", line)?,
-                        completed_weight: get_u64(&record, "completed_weight", line)?,
+                        dummy,
+                        discrete_flow,
+                        wmax,
+                        dummy_created,
+                        items_sent,
+                        arrived_weight,
+                        completed_weight,
                     },
                 ));
             }
-            Some("queue") => {
+            "queue" => {
                 let (_, alg1) = alg1.as_mut().ok_or_else(|| {
                     SnapshotError::corrupt(line, "queue record before the alg1 record")
                 })?;
-                let node = get_u64(&record, "node", line)
-                    .map(usize_exact)?
-                    .ok_or_else(|| {
-                        SnapshotError::corrupt(line, "queue node index exceeds this platform")
-                    })?;
+                let node = usize_exact(scan.field_u64("node").map_err(at)?).ok_or_else(|| {
+                    SnapshotError::corrupt(line, "queue node index exceeds this platform")
+                })?;
                 if node != alg1.queues.len() {
                     return Err(SnapshotError::corrupt(
                         line,
@@ -638,73 +546,53 @@ pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
                         ),
                     ));
                 }
-                let entries = get_array(&record, "entries", line)?
-                    .iter()
-                    .map(|entry| {
-                        let items = entry.as_array().filter(|a| a.len() == 4).ok_or_else(|| {
-                            SnapshotError::corrupt(
-                                line,
-                                "each queue entry must be a [seq, id, weight, dummy] quadruple",
-                            )
-                        })?;
-                        let seq = item_u64(&items[0], "queue entry seq", line)?;
-                        let id = item_u64(&items[1], "queue entry id", line)?;
-                        let weight = item_u64(&items[2], "queue entry weight", line)?;
-                        let dummy = match &items[3] {
-                            Json::Bool(b) => *b,
-                            _ => {
-                                return Err(SnapshotError::corrupt(
-                                    line,
-                                    "queue entry dummy flag must be a boolean",
-                                ))
-                            }
-                        };
-                        let task = if dummy {
-                            if weight != 1 {
-                                return Err(SnapshotError::corrupt(
-                                    line,
-                                    "dummy tasks must have unit weight",
-                                ));
-                            }
-                            Task::dummy(TaskId(id))
-                        } else {
-                            if weight == 0 {
-                                return Err(SnapshotError::corrupt(
-                                    line,
-                                    "task weight must be positive",
-                                ));
-                            }
-                            Task::new(TaskId(id), weight)
+                let next_seq = scan.field_u64("next_seq").map_err(at)?;
+                let entries = scan
+                    .field_list("entries", |scan| {
+                        scan.open_array()?;
+                        let (seq, id, weight) = (scan.u64()?, scan.u64()?, scan.u64()?);
+                        let dummy = scan.bool()?;
+                        scan.close_array()?;
+                        let task = match (dummy, weight) {
+                            (true, 1) => Task::dummy(TaskId(id)),
+                            (true, _) => return Err(scan.fail("dummy tasks must have unit weight")),
+                            (false, 0) => return Err(scan.fail("task weight must be positive")),
+                            (false, weight) => Task::new(TaskId(id), weight),
                         };
                         Ok((seq, task))
                     })
-                    .collect::<Result<Vec<_>, SnapshotError>>()?;
+                    .map_err(at)?;
                 tasks += u64_exact(entries.len());
-                alg1.queues.push(QueueState {
-                    next_seq: get_u64(&record, "next_seq", line)?,
-                    entries,
-                });
+                alg1.queues.push(QueueState { next_seq, entries });
             }
-            Some("alg2") => {
+            "alg2" => {
                 if alg1.is_some() || alg2.is_some() {
                     return Err(SnapshotError::corrupt(line, "duplicate engine record"));
                 }
+                let round = scan.field_u64("round").map_err(at)?;
+                let seed = scan.field_u64("seed").map_err(at)?;
+                let dummy_created = scan.field_u64("dummy_created").map_err(at)?;
+                let arrived_weight = scan.field_u64("arrived_weight").map_err(at)?;
+                let completed_weight = scan.field_u64("completed_weight").map_err(at)?;
+                let tokens = scan.field_u64s("tokens").map_err(at)?;
+                let dummy = scan.field_u64s("dummy").map_err(at)?;
+                let discrete_flow = scan.field_i64s("discrete_flow").map_err(at)?;
                 alg2 = Some((
-                    get_u64(&record, "round", line)?,
+                    round,
                     Alg2State {
-                        tokens: get_u64_arr(&record, "tokens", line)?,
-                        dummy: get_u64_arr(&record, "dummy", line)?,
-                        discrete_flow: get_i64_arr(&record, "discrete_flow", line)?,
-                        seed: get_u64(&record, "seed", line)?,
-                        dummy_created: get_u64(&record, "dummy_created", line)?,
-                        arrived_weight: get_u64(&record, "arrived_weight", line)?,
-                        completed_weight: get_u64(&record, "completed_weight", line)?,
+                        tokens,
+                        dummy,
+                        discrete_flow,
+                        seed,
+                        dummy_created,
+                        arrived_weight,
+                        completed_weight,
                     },
                 ));
             }
-            Some("end") => {
-                let declared_records = get_u64(&record, "records", line)?;
-                let declared_tasks = get_u64(&record, "tasks", line)?;
+            "end" => {
+                let declared_records = scan.field_u64("records").map_err(at)?;
+                let declared_tasks = scan.field_u64("tasks").map_err(at)?;
                 if declared_records != u64_exact(records) || declared_tasks != tasks {
                     return Err(SnapshotError::corrupt(
                         line,
@@ -716,20 +604,21 @@ pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
                     ));
                 }
                 sealed = true;
-                continue; // the end record itself is not counted
             }
-            Some("header") => {
+            "header" => {
                 return Err(SnapshotError::corrupt(line, "unexpected header record"));
             }
-            Some(other) => {
+            other => {
                 return Err(SnapshotError::corrupt(
                     line,
                     format!("unknown record kind {other:?}"),
                 ));
             }
-            None => return Err(SnapshotError::corrupt(line, "record has no kind")),
         }
-        records += 1;
+        scan.finish().map_err(at)?;
+        if !sealed {
+            records += 1; // the end record itself is not counted
+        }
     }
     if !sealed {
         return Err(SnapshotError::Truncated {
@@ -797,8 +686,24 @@ pub fn load(path: impl AsRef<Path>) -> Result<Snapshot, SnapshotError> {
 ///
 /// Returns [`SnapshotError::Io`] naming the path on failure.
 pub fn write_atomic(path: impl AsRef<Path>, snapshot: &Snapshot) -> Result<(), SnapshotError> {
+    write_atomic_with(path, snapshot, &mut Vec::new())
+}
+
+/// [`write_atomic`] rendering into `buf` (cleared first), so a caller that
+/// publishes a rotating checkpoint reuses one buffer across publications.
+///
+/// # Errors
+///
+/// Returns [`SnapshotError::Io`] naming the path on failure.
+pub fn write_atomic_with(
+    path: impl AsRef<Path>,
+    snapshot: &Snapshot,
+    buf: &mut Vec<u8>,
+) -> Result<(), SnapshotError> {
     let path = path.as_ref();
-    write_bytes_atomic(path, render(snapshot).as_bytes()).map_err(|e| SnapshotError::Io {
+    buf.clear();
+    render_into(snapshot, buf);
+    write_bytes_atomic(path, buf).map_err(|e| SnapshotError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use lb_analysis::codec::{LineScanner, LineWriter, ScanError};
 use lb_analysis::Json;
 use std::error::Error;
 use std::fmt;
@@ -296,13 +297,21 @@ impl Record {
     /// Parses one wire line into a typed record.
     ///
     /// Structural validation only: required fields must be present and
-    /// well-typed, but no version or policy checks happen here.
+    /// well-typed, but no version or policy checks happen here. Bulk
+    /// records are read by one [`LineScanner`] pass in the writer's field
+    /// order; control records are parsed as a [`Json`] tree.
     ///
     /// # Errors
     ///
-    /// [`ProtoError::Malformed`] for bad JSON or missing/mistyped fields,
-    /// [`ProtoError::UnknownKind`] for an unrecognized `kind` tag.
+    /// [`ProtoError::Malformed`] for bad JSON or missing/mistyped fields
+    /// (located by byte for bulk records), [`ProtoError::UnknownKind`] for
+    /// an unrecognized `kind` tag.
     pub fn parse(line: &str) -> Result<Record, ProtoError> {
+        let mut scan = LineScanner::new(line);
+        if let Ok(kind @ ("loads" | "flows" | "sends" | "deliver" | "sample")) = scan.kind() {
+            return parse_bulk(kind, &mut scan)
+                .map_err(|e| ProtoError::malformed(format!("{kind} record: {e}")));
+        }
         let json = Json::parse(line).map_err(ProtoError::malformed)?;
         let kind = json
             .get("kind")
@@ -346,47 +355,6 @@ impl Record {
             "round" => Ok(Record::Round {
                 round: u64_field(&json, "round", "round")?,
             }),
-            "loads" => Ok(Record::Loads {
-                rank: opt_u64_field(&json, "loads", "rank")?,
-                entries: pairs_field(&json, "loads", "entries")?,
-            }),
-            "flows" => Ok(Record::Flows {
-                rank: opt_u64_field(&json, "flows", "rank")?,
-                entries: triples_field(&json, "flows", "entries")?,
-            }),
-            "sends" => Ok(Record::Sends {
-                rank: u64_field(&json, "sends", "rank")?,
-                batch: parse_batch(
-                    json.get("batch")
-                        .ok_or_else(|| ProtoError::malformed("sends has no batch"))?,
-                )?,
-            }),
-            "deliver" => {
-                let raw = array_field(&json, "deliver", "batches")?;
-                let mut batches = Vec::with_capacity(raw.len());
-                for entry in raw {
-                    let rank = entry
-                        .get("rank")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::malformed("deliver batch has no rank"))?;
-                    let batch = parse_batch(
-                        entry
-                            .get("batch")
-                            .ok_or_else(|| ProtoError::malformed("deliver entry has no batch"))?,
-                    )?;
-                    batches.push((rank, batch));
-                }
-                Ok(Record::Deliver { batches })
-            }
-            "sample" => Ok(Record::Sample {
-                rank: u64_field(&json, "sample", "rank")?,
-                round: u64_field(&json, "sample", "round")?,
-                loads: u64s_field(&json, "sample", "loads")?,
-                real: u64s_field(&json, "sample", "real")?,
-                dummy_load: u64_field(&json, "sample", "dummy_load")?,
-                arrived: u64_field(&json, "sample", "arrived")?,
-                completed: u64_field(&json, "sample", "completed")?,
-            }),
             "state" => Ok(Record::State {
                 rank: u64_field(&json, "state", "rank")?,
                 round: u64_field(&json, "state", "round")?,
@@ -405,6 +373,9 @@ impl Record {
             "abort" => Ok(Record::Abort {
                 error: str_field(&json, "abort", "error")?,
             }),
+            "loads" | "flows" | "sends" | "deliver" | "sample" => Err(ProtoError::malformed(
+                format!("a {kind} record must lead with its \"kind\" field"),
+            )),
             other => Err(ProtoError::UnknownKind {
                 kind: other.to_string(),
             }),
@@ -416,7 +387,68 @@ impl Record {
     /// Rendering is stable — the same record always produces the same
     /// bytes — and `parse(render(r)) == r` for every record.
     pub fn render(&self) -> String {
+        let mut out = Vec::new();
+        self.render_into(&mut out);
+        // Every byte is ASCII or comes from a Rust string, so this never
+        // falls back.
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+    }
+
+    /// Appends the record's one-line wire form (no trailing newline) to
+    /// `out`: bulk records through one [`LineWriter`] pass, control records
+    /// through [`Json`]. Same bytes as [`render`](Self::render).
+    pub fn render_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.capacity_hint());
         let json = match self {
+            Record::Loads { rank, entries } => {
+                let mut w = LineWriter::record(out, "loads");
+                w.key("rank").opt_u64(*rank);
+                w.key("entries")
+                    .u64_rows(entries, |&(node, bits)| [node, bits]);
+                return w.end();
+            }
+            Record::Flows { rank, entries } => {
+                let mut w = LineWriter::record(out, "flows");
+                w.key("rank").opt_u64(*rank);
+                w.key("entries")
+                    .u64_rows(entries, |&(edge, f, b)| [edge, f, b]);
+                return w.end();
+            }
+            Record::Sends { rank, batch } => {
+                let mut w = LineWriter::record(out, "sends");
+                w.key("rank").u64(*rank);
+                write_batch(w.key("batch"), batch);
+                return w.end();
+            }
+            Record::Deliver { batches } => {
+                let mut w = LineWriter::record(out, "deliver");
+                w.key("batches").list(batches, |w, (rank, batch)| {
+                    w.open_object().key("rank").u64(*rank);
+                    write_batch(w.key("batch"), batch);
+                    w.close_object();
+                });
+                return w.end();
+            }
+            Record::Sample {
+                rank,
+                round,
+                loads,
+                real,
+                dummy_load,
+                arrived,
+                completed,
+            } => {
+                let mut w = LineWriter::record(out, "sample");
+                w.key("rank").u64(*rank);
+                w.key("round").u64(*round);
+                w.key("loads").u64s(loads);
+                w.key("real").u64s(real);
+                w.key("dummy_load").u64(*dummy_load);
+                w.key("arrived").u64(*arrived);
+                w.key("completed").u64(*completed);
+                return w.end();
+            }
             Record::Hello { version, feed } => Json::obj([
                 ("kind", Json::from("hello")),
                 ("version", Json::from(*version)),
@@ -470,56 +502,6 @@ impl Record {
             Record::Round { round } => {
                 Json::obj([("kind", Json::from("round")), ("round", Json::from(*round))])
             }
-            Record::Loads { rank, entries } => Json::obj([
-                ("kind", Json::from("loads")),
-                ("rank", rank.map_or(Json::Null, Json::from)),
-                ("entries", render_pairs(entries)),
-            ]),
-            Record::Flows { rank, entries } => Json::obj([
-                ("kind", Json::from("flows")),
-                ("rank", rank.map_or(Json::Null, Json::from)),
-                ("entries", render_triples(entries)),
-            ]),
-            Record::Sends { rank, batch } => Json::obj([
-                ("kind", Json::from("sends")),
-                ("rank", Json::from(*rank)),
-                ("batch", render_batch(batch)),
-            ]),
-            Record::Deliver { batches } => Json::obj([
-                ("kind", Json::from("deliver")),
-                (
-                    "batches",
-                    Json::Arr(
-                        batches
-                            .iter()
-                            .map(|(rank, batch)| {
-                                Json::obj([
-                                    ("rank", Json::from(*rank)),
-                                    ("batch", render_batch(batch)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Record::Sample {
-                rank,
-                round,
-                loads,
-                real,
-                dummy_load,
-                arrived,
-                completed,
-            } => Json::obj([
-                ("kind", Json::from("sample")),
-                ("rank", Json::from(*rank)),
-                ("round", Json::from(*round)),
-                ("loads", render_u64s(loads)),
-                ("real", render_u64s(real)),
-                ("dummy_load", Json::from(*dummy_load)),
-                ("arrived", Json::from(*arrived)),
-                ("completed", Json::from(*completed)),
-            ]),
             Record::State {
                 rank,
                 round,
@@ -551,12 +533,135 @@ impl Record {
                 ("error", Json::from(error.as_str())),
             ]),
         };
-        json.render()
+        out.extend_from_slice(json.render().as_bytes());
     }
 }
 
 // ---------------------------------------------------------------------------
-// Field helpers
+// Bulk records: the codec
+// ---------------------------------------------------------------------------
+
+impl Record {
+    /// An upper estimate of a bulk record's rendered size (at most 24 bytes
+    /// per integer with its separators), so the buffer grows once.
+    fn capacity_hint(&self) -> usize {
+        const PER_VALUE: usize = 24;
+        let batch_values = |b: &WireBatch| {
+            5 * b.tasks.len() + 2 * b.dummy.len() + 3 * b.tokens.len() + 2 * b.deltas.len()
+        };
+        let values = match self {
+            Record::Loads { entries, .. } => 2 * entries.len(),
+            Record::Flows { entries, .. } => 3 * entries.len(),
+            Record::Sends { batch, .. } => batch_values(batch),
+            Record::Deliver { batches } => batches.iter().map(|(_, b)| 4 + batch_values(b)).sum(),
+            Record::Sample { loads, real, .. } => loads.len() + real.len(),
+            _ => 0,
+        };
+        128 + PER_VALUE * values
+    }
+}
+
+/// Writes a batch object, `{"tasks":[…],"dummy":[…],"tokens":[…],"deltas":[…]}`.
+fn write_batch(w: &mut LineWriter<'_>, batch: &WireBatch) {
+    w.open_object();
+    w.key("tasks").list(&batch.tasks, |w, task| {
+        w.open_array()
+            .u64(task.edge)
+            .u64(task.node)
+            .u64(task.id)
+            .u64(task.weight)
+            .bool(task.dummy)
+            .close_array();
+    });
+    w.key("dummy")
+        .u64_rows(&batch.dummy, |&(node, units)| [node, units]);
+    w.key("tokens")
+        .u64_rows(&batch.tokens, |&(node, real, dummy)| [node, real, dummy]);
+    w.key("deltas").list(&batch.deltas, |w, &(edge, delta)| {
+        w.open_array().u64(edge).i64(delta).close_array();
+    });
+    w.close_object();
+}
+
+/// Reads what [`write_batch`] wrote.
+fn read_batch(scan: &mut LineScanner<'_>) -> Result<WireBatch, ScanError> {
+    scan.open_object()?;
+    let tasks = scan.field_list("tasks", |scan| {
+        scan.open_array()?;
+        let (edge, node, id, weight) = (scan.u64()?, scan.u64()?, scan.u64()?, scan.u64()?);
+        let dummy = scan.bool()?;
+        scan.close_array()?;
+        Ok(WireTask {
+            edge,
+            node,
+            id,
+            weight,
+            dummy,
+        })
+    })?;
+    let dummy = scan.field_u64_rows("dummy", |[node, units]| (node, units))?;
+    let tokens = scan.field_u64_rows("tokens", |[node, real, dummy]| (node, real, dummy))?;
+    let deltas = scan.field_list("deltas", |scan| {
+        scan.open_array()?;
+        let (edge, delta) = (scan.u64()?, scan.i64()?);
+        scan.close_array()?;
+        Ok((edge, delta))
+    })?;
+    scan.close_object()?;
+    Ok(WireBatch {
+        tasks,
+        dummy,
+        tokens,
+        deltas,
+    })
+}
+
+/// Reads the fields of a bulk record after its kind, in the writer's
+/// order, through the end of the line.
+fn parse_bulk(kind: &str, scan: &mut LineScanner<'_>) -> Result<Record, ScanError> {
+    let record = match kind {
+        "loads" => Record::Loads {
+            rank: scan.field_opt_u64("rank")?,
+            entries: scan.field_u64_rows("entries", |[node, bits]| (node, bits))?,
+        },
+        "flows" => Record::Flows {
+            rank: scan.field_opt_u64("rank")?,
+            entries: scan.field_u64_rows("entries", |[edge, f, b]| (edge, f, b))?,
+        },
+        "sends" => {
+            let rank = scan.field_u64("rank")?;
+            scan.key("batch")?;
+            Record::Sends {
+                rank,
+                batch: read_batch(scan)?,
+            }
+        }
+        "deliver" => Record::Deliver {
+            batches: scan.field_list("batches", |scan| {
+                scan.open_object()?;
+                let rank = scan.field_u64("rank")?;
+                scan.key("batch")?;
+                let batch = read_batch(scan)?;
+                scan.close_object()?;
+                Ok((rank, batch))
+            })?,
+        },
+        _ => Record::Sample {
+            rank: scan.field_u64("rank")?,
+            round: scan.field_u64("round")?,
+            loads: scan.field_u64s("loads")?,
+            real: scan.field_u64s("real")?,
+            dummy_load: scan.field_u64("dummy_load")?,
+            arrived: scan.field_u64("arrived")?,
+            completed: scan.field_u64("completed")?,
+        },
+    };
+    scan.finish()?;
+    Ok(record)
+}
+
+// ---------------------------------------------------------------------------
+// Control records: field accessors over the Json tree
 // ---------------------------------------------------------------------------
 
 fn u64_field(json: &Json, record: &str, key: &str) -> Result<u64, ProtoError> {
@@ -583,160 +688,6 @@ fn str_field(json: &Json, record: &str, key: &str) -> Result<String, ProtoError>
         Some(text) => Ok(text.to_string()),
         None => Err(ProtoError::malformed(format!("{record} has no {key}"))),
     }
-}
-
-fn array_field<'a>(json: &'a Json, record: &str, key: &str) -> Result<&'a [Json], ProtoError> {
-    json.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| ProtoError::malformed(format!("{record} has no {key}")))
-}
-
-fn item_u64(item: &Json, what: &str) -> Result<u64, ProtoError> {
-    item.as_u64()
-        .ok_or_else(|| ProtoError::malformed(format!("{what} entry is not an integer")))
-}
-
-fn item_i64(item: &Json, what: &str) -> Result<i64, ProtoError> {
-    match item {
-        Json::Int(value) => i64::try_from(*value)
-            .map_err(|_| ProtoError::malformed(format!("{what} entry overflows i64"))),
-        _ => Err(ProtoError::malformed(format!(
-            "{what} entry is not an integer"
-        ))),
-    }
-}
-
-fn u64s_field(json: &Json, record: &str, key: &str) -> Result<Vec<u64>, ProtoError> {
-    array_field(json, record, key)?
-        .iter()
-        .map(|item| item_u64(item, key))
-        .collect()
-}
-
-fn pairs_field(json: &Json, record: &str, key: &str) -> Result<Vec<(u64, u64)>, ProtoError> {
-    array_field(json, record, key)?
-        .iter()
-        .map(|entry| {
-            let Some([a, b]) = entry.as_array().and_then(|items| items.first_chunk()) else {
-                return Err(ProtoError::malformed(format!(
-                    "{record} {key} entry is not a pair"
-                )));
-            };
-            Ok((item_u64(a, key)?, item_u64(b, key)?))
-        })
-        .collect()
-}
-
-fn triples_field(json: &Json, record: &str, key: &str) -> Result<Vec<(u64, u64, u64)>, ProtoError> {
-    array_field(json, record, key)?
-        .iter()
-        .map(|entry| {
-            let Some([a, b, c]) = entry.as_array().and_then(|items| items.first_chunk()) else {
-                return Err(ProtoError::malformed(format!(
-                    "{record} {key} entry is not a triple"
-                )));
-            };
-            Ok((item_u64(a, key)?, item_u64(b, key)?, item_u64(c, key)?))
-        })
-        .collect()
-}
-
-fn parse_batch(json: &Json) -> Result<WireBatch, ProtoError> {
-    let mut tasks = Vec::new();
-    for entry in array_field(json, "batch", "tasks")? {
-        let Some([edge, node, id, weight, dummy]) =
-            entry.as_array().and_then(|items| items.first_chunk())
-        else {
-            return Err(ProtoError::malformed(
-                "batch tasks entry is not a 5-element array",
-            ));
-        };
-        let dummy = match dummy {
-            Json::Bool(flag) => *flag,
-            _ => return Err(ProtoError::malformed("batch task dummy flag is not a bool")),
-        };
-        tasks.push(WireTask {
-            edge: item_u64(edge, "tasks")?,
-            node: item_u64(node, "tasks")?,
-            id: item_u64(id, "tasks")?,
-            weight: item_u64(weight, "tasks")?,
-            dummy,
-        });
-    }
-    let dummy = pairs_field(json, "batch", "dummy")?;
-    let tokens = triples_field(json, "batch", "tokens")?;
-    let deltas = array_field(json, "batch", "deltas")?
-        .iter()
-        .map(|entry| {
-            let Some([e, d]) = entry.as_array().and_then(|items| items.first_chunk()) else {
-                return Err(ProtoError::malformed("batch deltas entry is not a pair"));
-            };
-            Ok((item_u64(e, "deltas")?, item_i64(d, "deltas")?))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(WireBatch {
-        tasks,
-        dummy,
-        tokens,
-        deltas,
-    })
-}
-
-fn render_u64s(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::from(v)).collect())
-}
-
-fn render_pairs(entries: &[(u64, u64)]) -> Json {
-    Json::Arr(
-        entries
-            .iter()
-            .map(|&(a, b)| Json::Arr(vec![Json::from(a), Json::from(b)]))
-            .collect(),
-    )
-}
-
-fn render_triples(entries: &[(u64, u64, u64)]) -> Json {
-    Json::Arr(
-        entries
-            .iter()
-            .map(|&(a, b, c)| Json::Arr(vec![Json::from(a), Json::from(b), Json::from(c)]))
-            .collect(),
-    )
-}
-
-fn render_batch(batch: &WireBatch) -> Json {
-    Json::obj([
-        (
-            "tasks",
-            Json::Arr(
-                batch
-                    .tasks
-                    .iter()
-                    .map(|task| {
-                        Json::Arr(vec![
-                            Json::from(task.edge),
-                            Json::from(task.node),
-                            Json::from(task.id),
-                            Json::from(task.weight),
-                            Json::from(task.dummy),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("dummy", render_pairs(&batch.dummy)),
-        ("tokens", render_triples(&batch.tokens)),
-        (
-            "deltas",
-            Json::Arr(
-                batch
-                    .deltas
-                    .iter()
-                    .map(|&(e, d)| Json::Arr(vec![Json::from(e), Json::from(d)]))
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 #[cfg(test)]

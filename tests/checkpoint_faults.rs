@@ -264,3 +264,71 @@ fn damaged_snapshots_fail_resume_with_typed_errors() {
     std::fs::remove_file(&scenario_path).ok();
     std::fs::remove_file(&ckpt).ok();
 }
+
+/// The snapshot writer and scanner compose end to end through the binary:
+/// a run resumed from a mid-run checkpoint, at a different shard count,
+/// publishes a final rotating checkpoint byte-identical to the one the
+/// uninterrupted run publishes at the same round. All four engine combos,
+/// with churn and arrivals.
+#[test]
+fn resumed_final_checkpoint_is_byte_identical_to_the_uninterrupted_one() {
+    for (algorithm, model, tag) in [
+        (AlgorithmSpec::Alg1, ModelSpec::Fos, "final_a1fos"),
+        (AlgorithmSpec::Alg1, ModelSpec::Sos, "final_a1sos"),
+        (AlgorithmSpec::Alg2, ModelSpec::Fos, "final_a2fos"),
+        (AlgorithmSpec::Alg2, ModelSpec::Sos, "final_a2sos"),
+    ] {
+        let scenario = scenario(algorithm, model);
+        assert_eq!(
+            scenario.rounds % 50,
+            0,
+            "cadence 50 lands on the last round"
+        );
+        let scenario_path = write_scenario(tag, &scenario);
+        let checkpointed_run = |args: &[&str], every: &str, ckpt: &Path| {
+            let output = lb()
+                .args(["run", "--quiet"])
+                .args(args)
+                .args(["--checkpoint-every", every, "--checkpoint"])
+                .arg(ckpt)
+                .stdout(Stdio::null())
+                .output()
+                .expect("spawn lb run");
+            assert!(
+                output.status.success(),
+                "{tag}: lb run {args:?} failed: {}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+        };
+
+        // The uninterrupted run's final checkpoint is the round-300 capture.
+        let reference = temp(tag, "reference.jsonl");
+        checkpointed_run(&[scenario_path.to_str().unwrap()], "50", &reference);
+
+        // Cadence 160 leaves the round-160 capture in the rotating file:
+        // a mid-run snapshot after the churn, made by the binary itself.
+        let mid = temp(tag, "mid.jsonl");
+        checkpointed_run(&[scenario_path.to_str().unwrap()], "160", &mid);
+        assert_eq!(snapshot::load(&mid).expect("mid-run snapshot").round, 160);
+
+        let resumed = temp(tag, "resumed.jsonl");
+        checkpointed_run(
+            &["--shards", "3", "--resume", mid.to_str().unwrap()],
+            "50",
+            &resumed,
+        );
+        let (reference_bytes, resumed_bytes) = (
+            std::fs::read(&reference).unwrap(),
+            std::fs::read(&resumed).unwrap(),
+        );
+        assert_eq!(snapshot::load(&resumed).expect("final snapshot").round, 300);
+        assert!(
+            reference_bytes == resumed_bytes,
+            "{tag}: the resumed run's final checkpoint differs from the uninterrupted run's"
+        );
+
+        for path in [&scenario_path, &reference, &mid, &resumed] {
+            std::fs::remove_file(path).ok();
+        }
+    }
+}
