@@ -7,15 +7,14 @@
 //! buffer, and [`LineScanner`] reads it back in a single pass; neither
 //! builds a [`Json`] tree per element. Small opaque payloads nested in a
 //! record (a scenario document, a driver payload) still go through
-//! [`Json`] via [`LineWriter::json`] / [`LineScanner::json`].
+//! [`Json`] via [`LineWriter::json`] / [`LineScanner::field_json`].
 //!
 //! # Format
 //!
 //! The writer emits compact JSON with no whitespace, byte-identical to
 //! rendering the equivalent [`Json`] tree with [`Json::render`], so any
 //! JSON reader still reads every record. Integers go through one
-//! two-digit-table formatter ([`push_u64`], [`push_i64`]), which
-//! [`Json`]'s own renderer shares.
+//! two-digit-table formatter, which [`Json`]'s own renderer shares.
 //!
 //! # Field-order rule
 //!
@@ -84,7 +83,7 @@ fn pair(value: u32) -> &'static [u8] {
 
 /// Appends the decimal form of `value` to `out`.
 #[inline]
-pub fn push_u64(out: &mut Vec<u8>, value: u64) {
+fn push_u64(out: &mut Vec<u8>, value: u64) {
     let mut buf = [0u8; MAX_DIGITS];
     let len = digits(value, &mut buf);
     // A fixed-size copy then a truncation: cheaper than a variable-length
@@ -97,7 +96,7 @@ pub fn push_u64(out: &mut Vec<u8>, value: u64) {
 /// Appends the decimal form of `value` to `out`, with a leading `-` when
 /// negative.
 #[inline]
-pub fn push_i64(out: &mut Vec<u8>, value: i64) {
+fn push_i64(out: &mut Vec<u8>, value: i64) {
     if value < 0 {
         out.push(b'-');
     }
@@ -319,14 +318,6 @@ pub struct ScanError {
     pub reason: String,
 }
 
-impl ScanError {
-    /// Names the field the failure belongs to.
-    fn in_field(mut self, name: &str) -> ScanError {
-        self.reason = format!("field {name:?}: {}", self.reason);
-        self
-    }
-}
-
 impl fmt::Display for ScanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at byte {}", self.reason, self.byte)
@@ -335,9 +326,12 @@ impl fmt::Display for ScanError {
 
 impl std::error::Error for ScanError {}
 
-/// Attaches the field name to an error from reading its value.
+/// Names the field an error from reading its value belongs to.
 fn in_field<T>(name: &str, result: Result<T, ScanError>) -> Result<T, ScanError> {
-    result.map_err(|e| e.in_field(name))
+    result.map_err(|mut e| {
+        e.reason = format!("field {name:?}: {}", e.reason);
+        e
+    })
 }
 
 fn arity(n: usize) -> String {
@@ -351,6 +345,10 @@ fn arity(n: usize) -> String {
 
 /// Reads one record line written by [`LineWriter`], in the writer's field
 /// order, in a single pass. See the [module docs](self) for the rules.
+///
+/// Every reading method fails with a [`ScanError`] located at the
+/// offending byte when the line does not hold what it expects; the
+/// `field_*` readers name the field in the error.
 pub struct LineScanner<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -438,11 +436,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads the record opener `{"kind":"<kind>"` and returns the kind.
-    ///
-    /// # Errors
-    ///
-    /// When the line does not open with an object whose first field is a
-    /// plain-string `"kind"`.
     pub fn kind(&mut self) -> Result<&'a str, ScanError> {
         self.require(b'{')?;
         let at = self.pos;
@@ -457,10 +450,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Expects the next field, `"name":`.
-    ///
-    /// # Errors
-    ///
-    /// When anything but that field comes next.
     pub fn key(&mut self, name: &str) -> Result<(), ScanError> {
         if self.separate().is_err() {
             return Err(self.expected(&format!("field {name:?}")));
@@ -519,11 +508,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads a non-negative exact integer.
-    ///
-    /// # Errors
-    ///
-    /// On a sign, a fraction or exponent, a value beyond `u64`, or a
-    /// non-number.
     #[inline]
     pub fn u64(&mut self) -> Result<u64, ScanError> {
         self.separate()?;
@@ -532,10 +516,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads an exact integer in the `i64` range.
-    ///
-    /// # Errors
-    ///
-    /// On a fraction or exponent, a value beyond `i64`, or a non-number.
     #[inline]
     pub fn i64(&mut self) -> Result<i64, ScanError> {
         const WHAT: &str = "an exact integer";
@@ -558,12 +538,8 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// As [`u64`](Self::u64).
     #[inline]
-    pub fn f64_bits(&mut self) -> Result<f64, ScanError> {
+    fn f64_bits(&mut self) -> Result<f64, ScanError> {
         self.u64().map(f64::from_bits)
     }
 
@@ -577,10 +553,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads `true` or `false`.
-    ///
-    /// # Errors
-    ///
-    /// On anything else.
     pub fn bool(&mut self) -> Result<bool, ScanError> {
         self.separate()?;
         self.peek();
@@ -594,11 +566,7 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads a non-negative exact integer, or `null` as `None`.
-    ///
-    /// # Errors
-    ///
-    /// As [`u64`](Self::u64).
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, ScanError> {
+    fn opt_u64(&mut self) -> Result<Option<u64>, ScanError> {
         let (at, first) = (self.pos, self.first);
         self.separate()?;
         if self.peek() == Some(b'n') && self.literal(b"null") {
@@ -609,11 +577,7 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads one nested JSON value of any shape as a [`Json`] tree.
-    ///
-    /// # Errors
-    ///
-    /// When the value is not valid JSON.
-    pub fn json(&mut self) -> Result<Json, ScanError> {
+    fn json(&mut self) -> Result<Json, ScanError> {
         self.separate()?;
         self.peek();
         let (value, end) = value_at(self.bytes, self.pos).map_err(|e| self.fail(e))?;
@@ -622,10 +586,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Opens a nested array, `[`.
-    ///
-    /// # Errors
-    ///
-    /// When no array opens here.
     pub fn open_array(&mut self) -> Result<(), ScanError> {
         self.separate()?;
         self.require(b'[')?;
@@ -635,12 +595,8 @@ impl<'a> LineScanner<'a> {
 
     /// Whether the current array has another element; consumes its `]`
     /// when it has not.
-    ///
-    /// # Errors
-    ///
-    /// When the line ends inside the array.
     #[inline]
-    pub fn more(&mut self) -> Result<bool, ScanError> {
+    fn more(&mut self) -> Result<bool, ScanError> {
         match self.peek() {
             Some(b']') => {
                 self.pos += 1;
@@ -653,10 +609,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Closes the innermost array, `]`.
-    ///
-    /// # Errors
-    ///
-    /// When the array has further elements.
     pub fn close_array(&mut self) -> Result<(), ScanError> {
         self.require(b']')?;
         self.first = false;
@@ -665,10 +617,6 @@ impl<'a> LineScanner<'a> {
 
     /// Opens a nested object, `{`; read its fields with the `field_*`
     /// methods, in order.
-    ///
-    /// # Errors
-    ///
-    /// When no object opens here.
     pub fn open_object(&mut self) -> Result<(), ScanError> {
         self.separate()?;
         self.require(b'{')?;
@@ -677,10 +625,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Closes the innermost object, `}`.
-    ///
-    /// # Errors
-    ///
-    /// When the object has further fields.
     pub fn close_object(&mut self) -> Result<(), ScanError> {
         self.require(b'}')?;
         self.first = false;
@@ -701,11 +645,7 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads one row of exactly `N` non-negative exact integers.
-    ///
-    /// # Errors
-    ///
-    /// When the row is not an array of `N` such integers.
-    pub fn u64_row<const N: usize>(&mut self) -> Result<[u64; N], ScanError> {
+    fn u64_row<const N: usize>(&mut self) -> Result<[u64; N], ScanError> {
         let read = |scan: &mut Self| -> Result<[u64; N], ScanError> {
             scan.open_array()?;
             let mut row = [0u64; N];
@@ -722,81 +662,48 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Reads the field `name` as a non-negative exact integer.
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next, or its value is not such an integer;
-    /// the error names the field.
     pub fn field_u64(&mut self, name: &str) -> Result<u64, ScanError> {
         self.key(name)?;
         in_field(name, self.u64())
     }
 
     /// Reads the field `name` as an `f64` bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// As [`field_u64`](Self::field_u64).
     pub fn field_f64_bits(&mut self, name: &str) -> Result<f64, ScanError> {
         self.key(name)?;
         in_field(name, self.f64_bits())
     }
 
     /// Reads the field `name` as a boolean.
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next or is not a boolean.
     pub fn field_bool(&mut self, name: &str) -> Result<bool, ScanError> {
         self.key(name)?;
         in_field(name, self.bool())
     }
 
     /// Reads the field `name` as an integer or `null`.
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next or is neither.
     pub fn field_opt_u64(&mut self, name: &str) -> Result<Option<u64>, ScanError> {
         self.key(name)?;
         in_field(name, self.opt_u64())
     }
 
     /// Reads the field `name` as an opaque [`Json`] value.
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next or its value is not valid JSON.
     pub fn field_json(&mut self, name: &str) -> Result<Json, ScanError> {
         self.key(name)?;
         in_field(name, self.json())
     }
 
     /// Reads the field `name` as an array of non-negative exact integers.
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next or an element is not such an integer.
     pub fn field_u64s(&mut self, name: &str) -> Result<Vec<u64>, ScanError> {
         self.key(name)?;
         in_field(name, self.array_of(Self::u64))
     }
 
     /// Reads the field `name` as an array of `i64` integers.
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next or an element is not such an integer.
     pub fn field_i64s(&mut self, name: &str) -> Result<Vec<i64>, ScanError> {
         self.key(name)?;
         in_field(name, self.array_of(Self::i64))
     }
 
     /// Reads the field `name` as an array of `f64` bit patterns.
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next or an element is not a bit pattern.
     pub fn field_f64s_bits(&mut self, name: &str) -> Result<Vec<f64>, ScanError> {
         self.key(name)?;
         in_field(name, self.array_of(Self::f64_bits))
@@ -804,10 +711,6 @@ impl<'a> LineScanner<'a> {
 
     /// Reads the field `name` as an array of `N`-integer rows, each mapped
     /// through `make`.
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next or a row is malformed.
     pub fn field_u64_rows<T, const N: usize>(
         &mut self,
         name: &str,
@@ -819,10 +722,6 @@ impl<'a> LineScanner<'a> {
 
     /// Reads the field `name` as an array whose elements `read` parses one
     /// at a time (it must consume exactly one element).
-    ///
-    /// # Errors
-    ///
-    /// When the field is not next, or as `read` fails.
     pub fn field_list<T>(
         &mut self,
         name: &str,
@@ -833,10 +732,6 @@ impl<'a> LineScanner<'a> {
     }
 
     /// Closes the record: expects its `}` and then the end of the line.
-    ///
-    /// # Errors
-    ///
-    /// When further fields or trailing content follow.
     pub fn finish(&mut self) -> Result<(), ScanError> {
         if self.peek() == Some(b',') {
             return Err(self.fail("unexpected field after the record's last field"));

@@ -12,9 +12,9 @@
 //!
 //! # Format
 //!
-//! One JSON document per line (via [`lb_analysis::Json`]; integers are
-//! exact, `f64` state is encoded as IEEE-754 **bit patterns** so restore is
-//! bit-identical, never a decimal round-trip):
+//! One compact JSON object per line. Integers are exact, and `f64` state is
+//! encoded as IEEE-754 **bit patterns**, so restore is bit-identical, never a
+//! decimal round-trip:
 //!
 //! ```text
 //! {"kind":"header","version":1,"scenario":{…}}            // opaque driver payload
@@ -26,6 +26,14 @@
 //! …                                                       // one queue line per node (alg1)
 //! {"kind":"end","records":N,"tasks":T}                    // truncation guard
 //! ```
+//!
+//! Every record goes through the exact-integer line codec
+//! ([`lb_analysis::codec`]): [`render_into`] appends each line straight into
+//! a caller-owned buffer (the driver's rotating checkpoint reuses one across
+//! publications), and [`parse`] reads each line in one pass, **in the
+//! writer's field order** — a missing, reordered or extra field is a
+//! located [`SnapshotError::Corrupt`], and its reason names the byte. Only
+//! the small opaque `scenario` and `driver` payloads are [`Json`] trees.
 //!
 //! The end record carries the record and stored-task totals; a reader
 //! rejects a snapshot without a matching end record, so a truncated or torn

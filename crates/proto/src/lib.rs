@@ -26,6 +26,17 @@
 //! bit-identically. Rendering is insertion-ordered and stable: the same
 //! record always renders to the same bytes.
 //!
+//! ## Encoding
+//!
+//! The bulk v2 records — [`Record::Loads`], [`Record::Flows`],
+//! [`Record::Sends`], [`Record::Deliver`] and [`Record::Sample`] — carry one
+//! integer per element and go through the exact-integer line codec
+//! ([`lb_analysis::codec`]): [`Record::render_into`] appends them straight
+//! into a caller-owned buffer, and [`Record::parse`] reads them in one pass
+//! **in the writer's field order**, with byte-located errors. Control
+//! records are small and stay [`Json`] trees, so their fields may come in
+//! any order. Both render the same bytes a [`Json`] tree would.
+//!
 //! Semantic validation — protocol-version checks, scenario authentication,
 //! rank bounds — is deliberately **not** done here: [`Record::parse`] checks
 //! structure only and hands the typed record to the caller, which owns the
